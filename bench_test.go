@@ -383,6 +383,93 @@ func TestSpansDisabledHotPathAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// simUDPDatagramAllocs is the steady-state allocation count of one 512-byte
+// UDP datagram carried from a laptop socket across the routed wireless
+// testbed (WaveLAN cell, gateway, campus Ethernet) into a server socket
+// and a receiving process.
+func simUDPDatagramAllocs() float64 {
+	s := sim.New(1)
+	defer s.Close()
+	tb := scenario.BuildWireless(s, scenario.Wean)
+	cs, _ := transport.NewUDP(tb.Laptop).Bind(0)
+	ss, _ := transport.NewUDP(tb.Server).Bind(2049)
+	s.Spawn("sink", func(p *sim.Proc) {
+		for {
+			if _, ok := ss.Recv(p); !ok {
+				return
+			}
+		}
+	})
+	data := make([]byte, 512)
+	send := func() {
+		cs.SendTo(scenario.ServerIP, 2049, data)
+		s.RunFor(50 * time.Millisecond)
+	}
+	send()
+	return testing.AllocsPerRun(200, send)
+}
+
+// simTCPSegmentAllocs is the steady-state allocation count of one
+// full-sized TCP data segment on an established connection over the
+// isolated Ethernet: the writer's Write, the segment, its ACK, and the
+// reader's Read.
+func simTCPSegmentAllocs() float64 {
+	s := sim.New(1)
+	defer s.Close()
+	tb := scenario.BuildEthernet(s)
+	ct, st := transport.NewTCP(tb.Laptop), transport.NewTCP(tb.Server)
+	l, _ := st.Listen(20)
+	s.Spawn("reader", func(p *sim.Proc) {
+		c, ok := l.Accept(p)
+		if !ok {
+			return
+		}
+		for {
+			if _, err := c.Read(p, 1<<20); err != nil {
+				return
+			}
+		}
+	})
+	kick := sim.NewChan[struct{}](s, 1)
+	s.Spawn("writer", func(p *sim.Proc) {
+		c, err := ct.Dial(p, scenario.ModServer, 20)
+		if err != nil {
+			return
+		}
+		seg := make([]byte, transport.MSS)
+		for {
+			if _, ok := kick.Recv(p); !ok {
+				return
+			}
+			c.Write(p, seg)
+		}
+	})
+	s.RunFor(time.Second)
+	send := func() {
+		kick.TrySend(struct{}{})
+		s.RunFor(50 * time.Millisecond)
+	}
+	send()
+	return testing.AllocsPerRun(200, send)
+}
+
+// TestSimPacketPathAllocs caps allocations on the simulated packet path.
+// Each datagram is allocated once, by the transport that creates it, and
+// handed down and across the network without copies. The UDP ceiling is
+// that buffer plus the receiver's channel waiter. The TCP one is the
+// segment and its ACK, four channel waiters, and the slice Read returns;
+// the connection's send and receive queues reuse their memory. (A path
+// that re-serialized the datagram at each layer, with queues that
+// regrew, measured 19 and 31.)
+func TestSimPacketPathAllocs(t *testing.T) {
+	if a := simUDPDatagramAllocs(); a > 2 {
+		t.Errorf("UDP datagram across the wireless testbed: %.1f allocs, ceiling 2", a)
+	}
+	if a := simTCPSegmentAllocs(); a > 7 {
+		t.Errorf("TCP data segment: %.1f allocs, ceiling 7", a)
+	}
+}
+
 // BenchmarkDistill measures distillation of a five-minute collected trace.
 func BenchmarkDistill(b *testing.B) {
 	s := sim.New(3)
@@ -416,6 +503,7 @@ func BenchmarkSimTCPTransfer(b *testing.B) {
 			done = true
 		})
 		s.RunUntil(sim.Time(time.Hour))
+		s.Close()
 		if !done {
 			b.Fatal("transfer did not finish")
 		}

@@ -90,7 +90,7 @@ func main() {
 
 	ids := []string{*run}
 	if *run == "all" {
-		ids = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "abl-tick", "abl-comp", "abl-window", "abl-clock", "abl-buffer"}
+		ids = allIDs
 	}
 	for _, id := range ids {
 		start := time.Now()
@@ -128,6 +128,9 @@ func writeTracedRun(path string, o expt.Options) error {
 		len(spans), path, time.Since(start).Round(time.Millisecond))
 	return nil
 }
+
+// allIDs is what -run all regenerates, in output order.
+var allIDs = []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "abl-tick", "abl-comp", "abl-window", "abl-clock", "abl-buffer"}
 
 func dispatch(id string, o expt.Options) (string, error) {
 	switch strings.ToLower(id) {

@@ -100,6 +100,11 @@ type forwarded struct {
 	header http.Header
 }
 
+// forwardedRequestHeaders are the request headers a worker acts on. The
+// last three carry a resumable upload: Stream-Token authorizes the
+// PATCH, Upload-Offset (or its Content-Range fallback) places the bytes.
+var forwardedRequestHeaders = []string{"Content-Type", "Idempotency-Key", "Stream-Token", "Upload-Offset", "Content-Range"}
+
 // forward proxies r to the named worker, buffering the request body so a
 // transport error can be retried under the coordinator's backoff policy.
 // Responses — including worker-side errors like 429 or 409 — pass
@@ -135,7 +140,7 @@ func (c *Coordinator) forward(r *http.Request, workerName string) (*forwarded, e
 		if rerr != nil {
 			return rerr
 		}
-		for _, h := range []string{"Content-Type", "Idempotency-Key", "Upload-Offset"} {
+		for _, h := range forwardedRequestHeaders {
 			if v := r.Header.Get(h); v != "" {
 				req.Header.Set(h, v)
 			}

@@ -43,6 +43,7 @@ func AblateBuffer(o Options) (*BufResult, error) {
 		dur := scenario.Porter.Profile.Duration()
 		pinger.Start(s, tb.Laptop, scenario.ServerIP, dur)
 		tr, err := capture.Collect(s, tb.Laptop.NIC(0), bufCap, dur, "buffer ablation")
+		s.Close()
 		if err != nil {
 			return nil, err
 		}

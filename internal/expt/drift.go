@@ -45,6 +45,7 @@ type DriftResult struct {
 // collectSkewed performs a Porter collection with the given host clock.
 func collectSkewed(o Options, skew float64, gran time.Duration) (*tracefmt.Trace, error) {
 	s := sim.New(o.BaseSeed + 13)
+	defer s.Close()
 	tb := scenario.BuildWireless(s, scenario.Porter)
 	dur := scenario.Porter.Profile.Duration()
 	pinger.Start(s, tb.Laptop, scenario.ServerIP, dur)

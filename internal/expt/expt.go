@@ -171,6 +171,7 @@ type scenarioNode struct {
 // RunLive executes one benchmark trial over the live wireless scenario.
 func RunLive(sc scenario.Scenario, b Bench, trial int, o Options) (Result, error) {
 	s := sim.New(o.BaseSeed + int64(trial)*101)
+	defer s.Close()
 	tb := scenario.BuildWireless(s, sc)
 	return runBench(s,
 		&scenarioNode{tb.Laptop, scenario.LaptopIP},
@@ -182,6 +183,7 @@ func RunLive(sc scenario.Scenario, b Bench, trial int, o Options) (Result, error
 // Ethernet (the reference rows of Figures 6-8).
 func RunEthernetReference(b Bench, trial int, o Options) (Result, error) {
 	s := sim.New(o.BaseSeed + int64(trial)*103)
+	defer s.Close()
 	tb := scenario.BuildEthernet(s)
 	return runBench(s,
 		&scenarioNode{tb.Laptop, scenario.ModLaptop},
@@ -204,6 +206,7 @@ func Collect(sc scenario.Scenario, trial int, o Options) (*distill.Result, error
 // figure harness reads device records for the signal-level series).
 func CollectFull(sc scenario.Scenario, trial int, o Options) (*tracefmt.Trace, *distill.Result, error) {
 	s := sim.New(o.BaseSeed + int64(trial)*107 + 13)
+	defer s.Close()
 	tb := scenario.BuildWireless(s, sc)
 	dur := sc.Profile.Duration()
 	pinger.Start(s, tb.Laptop, scenario.ServerIP, dur)
@@ -225,6 +228,7 @@ func CollectFull(sc scenario.Scenario, trial int, o Options) (*tracefmt.Trace, *
 // one measurement serves every experiment.
 func MeasureCompensation(o Options) (core.PerByte, error) {
 	s := sim.New(o.BaseSeed + 7)
+	defer s.Close()
 	tb := scenario.BuildEthernet(s)
 	const dur = 60 * time.Second
 	pinger.Start(s, tb.Laptop, scenario.ModServer, dur)
@@ -269,6 +273,7 @@ func RunModulatedTraced(trace core.Trace, b Bench, trial int, comp core.PerByte,
 
 func runModulated(trace core.Trace, b Bench, trial int, comp core.PerByte, o Options, sink *span.CollectorSink) (Result, *modulation.Engine, error) {
 	s := sim.New(o.BaseSeed + int64(trial)*109 + 29)
+	defer s.Close()
 	tb := scenario.BuildEthernet(s)
 	dev := modulation.StartDaemon(s, trace, true)
 	var spans *span.Tracer

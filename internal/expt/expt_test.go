@@ -2,9 +2,11 @@ package expt
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
+	"tracemod/internal/apps/ftp"
 	"tracemod/internal/scenario"
 )
 
@@ -360,4 +362,56 @@ func TestAblateClockShape(t *testing.T) {
 	if r.Format() == "" {
 		t.Fatal("format must render")
 	}
+}
+
+// TestRunnersReclaimSimProcesses checks that every cell runner tears its
+// simulated world down: servers and daemons a bounded run leaves parked
+// must not outlive the call as goroutines.
+func TestRunnersReclaimSimProcesses(t *testing.T) {
+	o := fastOptions()
+	o.Trials = 1
+	o.FTPSize = 256 << 10
+	base := runtime.NumGoroutine()
+	check := func(name string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after the run, %d before", name, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	comp, err := MeasureCompensation(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MeasureCompensation")
+	_, res, err := CollectFull(scenario.Wean, 0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("CollectFull")
+	for _, b := range []Bench{BenchWeb, BenchFTPRecv, BenchAndrew} {
+		if _, err := RunLive(scenario.Wean, b, 0, o); err != nil {
+			t.Fatal(err)
+		}
+		check("RunLive " + b.String())
+		if _, err := RunEthernetReference(b, 0, o); err != nil {
+			t.Fatal(err)
+		}
+		check("RunEthernetReference " + b.String())
+		if _, err := RunModulated(res.Replay, b, 0, comp, o); err != nil {
+			t.Fatal(err)
+		}
+		check("RunModulated " + b.String())
+	}
+	if _, err := fig1Transfer(res.Replay, ftp.Recv, 64<<10, comp, o); err != nil {
+		t.Fatal(err)
+	}
+	check("fig1Transfer")
+	if _, err := collectSkewed(o, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("collectSkewed")
 }

@@ -42,6 +42,7 @@ type Fig1Result struct {
 // figure isolates network behaviour).
 func fig1Transfer(trace core.Trace, dir ftp.Direction, size int, comp core.PerByte, o Options) (time.Duration, error) {
 	s := sim.New(o.BaseSeed + 3301)
+	defer s.Close()
 	tb := scenario.BuildEthernet(s)
 	dev := modulation.StartDaemon(s, trace, true)
 	eng := modulation.NewEngine(modulation.SimClock{S: s}, dev, modulation.Config{

@@ -81,7 +81,7 @@ func TestRelayShapesRTT(t *testing.T) {
 			t.Fatalf("rtt %d = %v, implausibly slow", i, rtt)
 		}
 	}
-	st := r.Stats()
+	st := settledStats(t, r, 5)
 	if st.ClientToTarget != 5 || st.TargetToClient != 5 {
 		t.Fatalf("stats = %+v", st)
 	}

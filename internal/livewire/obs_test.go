@@ -43,6 +43,7 @@ func TestRelayLiveIntrospection(t *testing.T) {
 		}
 	}
 
+	settledStats(t, r, 5)
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -54,6 +54,23 @@ func burstEcho(t *testing.T, r *Relay, n, window int) {
 	}
 }
 
+// settledStats waits until the relay has booked want deliveries in each
+// direction and returns its stats. A client can read an echo before the
+// pump that wrote it has counted the write, so an exact counter check
+// made right after the last read races the pump; this waits (bounded)
+// for the count instead.
+func settledStats(t *testing.T, r *Relay, want int64) Stats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := r.Stats()
+		if (st.ClientToTarget >= want && st.TargetToClient >= want) || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestRelayBurstSharded drives a burst workload through a relay on a
 // shared PumpGroup and checks the batched counters move.
 func TestRelayBurstSharded(t *testing.T) {
@@ -75,7 +92,7 @@ func TestRelayBurstSharded(t *testing.T) {
 		t.Fatal("relay did not attach to the group")
 	}
 	burstEcho(t, r, 200, 16)
-	st := r.Stats()
+	st := settledStats(t, r, 200)
 	r.Close()
 	g.Close()
 	if st.ClientToTarget != 200 || st.TargetToClient != 200 {
@@ -108,7 +125,7 @@ func TestRelayBurstGenericFallback(t *testing.T) {
 		t.Fatal("ForceGenericIO relay must not be sharded")
 	}
 	burstEcho(t, r, 200, 16)
-	st := r.Stats()
+	st := settledStats(t, r, 200)
 	if st.ClientToTarget != 200 || st.TargetToClient != 200 {
 		t.Fatalf("relayed %d/%d, want 200/200", st.ClientToTarget, st.TargetToClient)
 	}

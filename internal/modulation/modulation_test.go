@@ -384,7 +384,7 @@ func TestInstallModulatesLAN(t *testing.T) {
 	})
 	echo := packet.MarshalICMP(packet.ICMPFields{Type: packet.ICMPEcho, ID: 2, Seq: 1},
 		packet.EchoPayload(100, int64(s.Now())))
-	a.SendIP(packet.ProtoICMP, packet.IP4(10, 3, 0, 2), echo)
+	a.SendIP(packet.ProtoICMP, packet.IP4(10, 3, 0, 2), append(make([]byte, packet.IPv4HeaderLen), echo...))
 	s.Run()
 	// RTT ≈ 2*(F + s*Vb) for a 128-byte datagram, plus tiny Ethernet time.
 	want := p.RoundTrip(128)

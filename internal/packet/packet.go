@@ -1,5 +1,7 @@
 // Package packet implements the wire formats carried through the emulated
-// network: Ethernet, IPv4, ICMP (echo/echoreply), UDP, and TCP segments.
+// network: IPv4, ICMP (echo/echoreply), UDP, and TCP segments. (The link
+// layer is modelled by simnet, not serialized; only its header length and
+// hardware addresses live here.)
 //
 // The design follows the gopacket idiom of typed, zero-copy header views
 // over a frame's bytes: each header type is a named []byte whose accessor
@@ -20,7 +22,6 @@ type LayerType int
 // Known layer types.
 const (
 	LayerTypeInvalid LayerType = iota
-	LayerTypeEthernet
 	LayerTypeIPv4
 	LayerTypeICMPv4
 	LayerTypeUDP
@@ -29,13 +30,12 @@ const (
 )
 
 var layerTypeNames = map[LayerType]string{
-	LayerTypeInvalid:  "Invalid",
-	LayerTypeEthernet: "Ethernet",
-	LayerTypeIPv4:     "IPv4",
-	LayerTypeICMPv4:   "ICMPv4",
-	LayerTypeUDP:      "UDP",
-	LayerTypeTCP:      "TCP",
-	LayerTypePayload:  "Payload",
+	LayerTypeInvalid: "Invalid",
+	LayerTypeIPv4:    "IPv4",
+	LayerTypeICMPv4:  "ICMPv4",
+	LayerTypeUDP:     "UDP",
+	LayerTypeTCP:     "TCP",
+	LayerTypePayload: "Payload",
 }
 
 func (t LayerType) String() string {
@@ -59,12 +59,9 @@ const (
 	ProtoUDP  = 17
 )
 
-// EtherType values.
-const EtherTypeIPv4 = 0x0800
-
 // Sizes of the fixed headers (no options are used in this system).
 const (
-	EthernetHeaderLen = 14
+	EthernetHeaderLen = 14 // charged on the medium, never serialized
 	IPv4HeaderLen     = 20
 	ICMPHeaderLen     = 8
 	UDPHeaderLen      = 8
@@ -95,17 +92,33 @@ func (ip IPAddr) String() string {
 
 // Checksum computes the RFC 1071 internet checksum over data with an
 // initial partial sum (pass 0 unless folding in a pseudo-header).
+//
+// It adds 32-bit big-endian words into a 64-bit accumulator and folds the
+// carries once at the end: a 32-bit word hi<<16|lo is congruent to hi+lo
+// modulo 0xffff, so this is the 16-bit ones'-complement sum computed two
+// words at a time (RFC 1071 §2(B) and (C)).
 func Checksum(data []byte, initial uint32) uint16 {
-	sum := initial
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
+	sum := uint64(initial)
+	for len(data) >= 16 {
+		sum += uint64(binary.BigEndian.Uint32(data[0:4])) +
+			uint64(binary.BigEndian.Uint32(data[4:8])) +
+			uint64(binary.BigEndian.Uint32(data[8:12])) +
+			uint64(binary.BigEndian.Uint32(data[12:16]))
+		data = data[16:]
 	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
+	for len(data) >= 4 {
+		sum += uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
+	}
+	if len(data) >= 2 {
+		sum += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum += uint64(data[0]) << 8
 	}
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }
@@ -122,33 +135,6 @@ func pseudoHeaderSum(src, dst IPAddr, proto uint8, length int) uint32 {
 	sum += uint32(length)
 	return sum
 }
-
-// Ethernet is a zero-copy view over an Ethernet frame.
-type Ethernet []byte
-
-// Valid reports whether the frame holds a complete Ethernet header.
-func (e Ethernet) Valid() bool { return len(e) >= EthernetHeaderLen }
-
-// Dst returns the destination hardware address.
-func (e Ethernet) Dst() HWAddr { var a HWAddr; copy(a[:], e[0:6]); return a }
-
-// Src returns the source hardware address.
-func (e Ethernet) Src() HWAddr { var a HWAddr; copy(a[:], e[6:12]); return a }
-
-// EtherType returns the payload protocol identifier.
-func (e Ethernet) EtherType() uint16 { return binary.BigEndian.Uint16(e[12:14]) }
-
-// Payload returns the frame body after the Ethernet header.
-func (e Ethernet) Payload() []byte { return e[EthernetHeaderLen:] }
-
-// SetDst writes the destination address.
-func (e Ethernet) SetDst(a HWAddr) { copy(e[0:6], a[:]) }
-
-// SetSrc writes the source address.
-func (e Ethernet) SetSrc(a HWAddr) { copy(e[6:12], a[:]) }
-
-// SetEtherType writes the payload protocol identifier.
-func (e Ethernet) SetEtherType(t uint16) { binary.BigEndian.PutUint16(e[12:14], t) }
 
 // IPv4 is a zero-copy view over an IPv4 header and payload.
 type IPv4 []byte
@@ -229,32 +215,32 @@ type IPv4Fields struct {
 	Src, Dst IPAddr
 }
 
-// PutIPv4 writes a 20-byte header followed by payload into buf, which must
-// be at least IPv4HeaderLen+len(payload) bytes. It returns the datagram
-// as an IPv4 view with checksum set.
-func PutIPv4(buf []byte, f IPv4Fields, payload []byte) IPv4 {
-	total := IPv4HeaderLen + len(payload)
-	if len(buf) < total {
-		panic("packet: PutIPv4 buffer too small")
+// PutIPv4Header fills the first IPv4HeaderLen bytes of b with a header
+// for the datagram b: total length len(b), checksum set. The payload must
+// already sit at b[IPv4HeaderLen:]. This is how a datagram built behind
+// reserved header room gets its header without being copied.
+func PutIPv4Header(b []byte, f IPv4Fields) IPv4 {
+	if len(b) < IPv4HeaderLen {
+		panic("packet: PutIPv4Header buffer shorter than a header")
 	}
-	b := buf[:total]
 	b[0] = 4<<4 | 5
 	b[1] = f.TOS
-	binary.BigEndian.PutUint16(b[2:4], uint16(total))
+	binary.BigEndian.PutUint16(b[2:4], uint16(len(b)))
 	binary.BigEndian.PutUint16(b[4:6], f.ID)
 	binary.BigEndian.PutUint16(b[6:8], 0) // flags+fragment offset
 	b[8] = f.TTL
 	b[9] = f.Protocol
 	binary.BigEndian.PutUint32(b[12:16], uint32(f.Src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(f.Dst))
-	copy(b[IPv4HeaderLen:], payload)
 	IPv4(b).SetChecksum()
 	return IPv4(b)
 }
 
 // MarshalIPv4 allocates and serializes an IPv4 datagram.
 func MarshalIPv4(f IPv4Fields, payload []byte) IPv4 {
-	return PutIPv4(make([]byte, IPv4HeaderLen+len(payload)), f, payload)
+	b := make([]byte, IPv4HeaderLen+len(payload))
+	copy(b[IPv4HeaderLen:], payload)
+	return PutIPv4Header(b, f)
 }
 
 // ICMP message types used by the known workload.
@@ -306,29 +292,41 @@ type ICMPFields struct {
 
 // MarshalICMP serializes an ICMP message with checksum set.
 func MarshalICMP(f ICMPFields, payload []byte) ICMP {
-	b := make([]byte, ICMPHeaderLen+len(payload))
-	b[0] = f.Type
-	b[1] = f.Code
-	binary.BigEndian.PutUint16(b[4:6], f.ID)
-	binary.BigEndian.PutUint16(b[6:8], f.Seq)
-	copy(b[ICMPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[2:4], Checksum(b, 0))
-	return ICMP(b)
+	m := ICMP(make([]byte, ICMPHeaderLen+len(payload)))
+	copy(m.Payload(), payload)
+	PutICMPHeader(m, f)
+	return m
+}
+
+// PutICMPHeader fills m's header and checksum around a payload already in
+// place at m.Payload().
+func PutICMPHeader(m ICMP, f ICMPFields) {
+	m[0] = f.Type
+	m[1] = f.Code
+	binary.BigEndian.PutUint16(m[2:4], 0)
+	binary.BigEndian.PutUint16(m[4:6], f.ID)
+	binary.BigEndian.PutUint16(m[6:8], f.Seq)
+	binary.BigEndian.PutUint16(m[2:4], Checksum(m, 0))
 }
 
 // EchoPayload builds an echo payload of exactly size bytes carrying sentAt
 // (virtual-clock nanoseconds) in its first 8 bytes; remaining bytes are a
 // deterministic fill pattern. Size must be at least 8.
 func EchoPayload(size int, sentAt int64) []byte {
-	if size < 8 {
+	p := make([]byte, size)
+	PutEchoPayload(p, sentAt)
+	return p
+}
+
+// PutEchoPayload writes EchoPayload(len(p), sentAt) into p.
+func PutEchoPayload(p []byte, sentAt int64) {
+	if len(p) < 8 {
 		panic("packet: echo payload must hold an 8-byte timestamp")
 	}
-	p := make([]byte, size)
 	binary.BigEndian.PutUint64(p[:8], uint64(sentAt))
-	for i := 8; i < size; i++ {
+	for i := 8; i < len(p); i++ {
 		p[i] = byte(i)
 	}
-	return p
 }
 
 // UDP is a zero-copy view over a UDP header and payload.
@@ -370,18 +368,26 @@ func (u UDP) ChecksumOK(src, dst IPAddr) bool {
 // MarshalUDP serializes a UDP datagram with checksum computed over the
 // pseudo-header for src/dst.
 func MarshalUDP(srcPort, dstPort uint16, src, dst IPAddr, payload []byte) UDP {
-	n := UDPHeaderLen + len(payload)
-	b := make([]byte, n)
-	binary.BigEndian.PutUint16(b[0:2], srcPort)
-	binary.BigEndian.PutUint16(b[2:4], dstPort)
-	binary.BigEndian.PutUint16(b[4:6], uint16(n))
-	copy(b[UDPHeaderLen:], payload)
-	ck := Checksum(b, pseudoHeaderSum(src, dst, ProtoUDP, n))
+	u := UDP(make([]byte, UDPHeaderLen+len(payload)))
+	copy(u[UDPHeaderLen:], payload)
+	PutUDPHeader(u, srcPort, dstPort, src, dst)
+	return u
+}
+
+// PutUDPHeader fills the header of the datagram u — length len(u),
+// checksum over the pseudo-header for src/dst — around a payload already
+// in place at u[UDPHeaderLen:].
+func PutUDPHeader(u UDP, srcPort, dstPort uint16, src, dst IPAddr) {
+	n := len(u)
+	binary.BigEndian.PutUint16(u[0:2], srcPort)
+	binary.BigEndian.PutUint16(u[2:4], dstPort)
+	binary.BigEndian.PutUint16(u[4:6], uint16(n))
+	binary.BigEndian.PutUint16(u[6:8], 0)
+	ck := Checksum(u, pseudoHeaderSum(src, dst, ProtoUDP, n))
 	if ck == 0 {
 		ck = 0xffff
 	}
-	binary.BigEndian.PutUint16(b[6:8], ck)
-	return UDP(b)
+	binary.BigEndian.PutUint16(u[6:8], ck)
 }
 
 // TCP flag bits.
@@ -444,17 +450,26 @@ type TCPFields struct {
 // MarshalTCP serializes a TCP segment with checksum computed over the
 // pseudo-header for src/dst.
 func MarshalTCP(f TCPFields, src, dst IPAddr, payload []byte) TCP {
-	b := make([]byte, TCPHeaderLen+len(payload))
-	binary.BigEndian.PutUint16(b[0:2], f.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], f.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], f.Seq)
-	binary.BigEndian.PutUint32(b[8:12], f.Ack)
-	b[12] = 5 << 4 // data offset: 5 words
-	b[13] = f.Flags
-	binary.BigEndian.PutUint16(b[14:16], f.Window)
-	copy(b[TCPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[16:18], Checksum(b, pseudoHeaderSum(src, dst, ProtoTCP, len(b))))
-	return TCP(b)
+	t := TCP(make([]byte, TCPHeaderLen+len(payload)))
+	copy(t[TCPHeaderLen:], payload)
+	PutTCPHeader(t, f, src, dst)
+	return t
+}
+
+// PutTCPHeader fills the header of the segment t (no options) and its
+// checksum over the pseudo-header for src/dst, around a payload already in
+// place at t[TCPHeaderLen:].
+func PutTCPHeader(t TCP, f TCPFields, src, dst IPAddr) {
+	binary.BigEndian.PutUint16(t[0:2], f.SrcPort)
+	binary.BigEndian.PutUint16(t[2:4], f.DstPort)
+	binary.BigEndian.PutUint32(t[4:8], f.Seq)
+	binary.BigEndian.PutUint32(t[8:12], f.Ack)
+	t[12] = 5 << 4 // data offset: 5 words
+	t[13] = f.Flags
+	binary.BigEndian.PutUint16(t[14:16], f.Window)
+	binary.BigEndian.PutUint16(t[16:18], 0)
+	binary.BigEndian.PutUint16(t[18:20], 0) // urgent pointer
+	binary.BigEndian.PutUint16(t[16:18], Checksum(t, pseudoHeaderSum(src, dst, ProtoTCP, len(t))))
 }
 
 // Info is the classification produced by Decode: which layers are present

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -47,24 +48,74 @@ func TestChecksumOddLength(t *testing.T) {
 	}
 }
 
-func TestEthernetRoundTrip(t *testing.T) {
-	buf := make([]byte, EthernetHeaderLen+4)
-	e := Ethernet(buf)
-	src := HWAddr{1, 2, 3, 4, 5, 6}
-	dst := HWAddr{7, 8, 9, 10, 11, 12}
-	e.SetSrc(src)
-	e.SetDst(dst)
-	e.SetEtherType(EtherTypeIPv4)
-	copy(e.Payload(), []byte{0xaa, 0xbb, 0xcc, 0xdd})
-	if !e.Valid() || e.Src() != src || e.Dst() != dst || e.EtherType() != EtherTypeIPv4 {
-		t.Fatal("ethernet fields did not round-trip")
+// checksum16 is the straightforward RFC 1071 loop, one 16-bit word at a
+// time, kept as the reference the word-at-a-time Checksum must match. Its
+// accumulator is 64 bits wide so that an initial partial sum near 2^32
+// cannot wrap it.
+func checksum16(data []byte, initial uint32) uint16 {
+	sum := uint64(initial)
+	n := len(data)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint64(data[i])<<8 | uint64(data[i+1])
 	}
-	if !bytes.Equal(e.Payload(), []byte{0xaa, 0xbb, 0xcc, 0xdd}) {
-		t.Fatal("payload mismatch")
+	if n%2 == 1 {
+		sum += uint64(data[n-1]) << 8
 	}
-	if Ethernet(buf[:10]).Valid() {
-		t.Fatal("short frame should be invalid")
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + (sum >> 16)
 	}
+	return ^uint16(sum)
+}
+
+func TestChecksumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1071))
+	buf := make([]byte, 4096)
+	for i := 0; i < 5000; i++ {
+		n := rng.Intn(len(buf) + 1)
+		data := buf[:n]
+		switch i % 3 {
+		case 0:
+			rng.Read(data)
+		case 1: // all ones: every word is 0xffff, the carry-heavy case
+			for j := range data {
+				data[j] = 0xff
+			}
+		case 2:
+			for j := range data {
+				data[j] = 0
+			}
+		}
+		initial := rng.Uint32()
+		if i%4 == 0 {
+			initial = 0
+		}
+		if got, want := Checksum(data, initial), checksum16(data, initial); got != want {
+			t.Fatalf("len %d initial %#x: Checksum = %04x, reference %04x", n, initial, got, want)
+		}
+	}
+	for n := 0; n < 40; n++ { // every tail shape around the 4- and 16-byte strides
+		data := make([]byte, n)
+		for j := range data {
+			data[j] = byte(j*37 + 11)
+		}
+		for _, initial := range []uint32{0, 1, 0xffff, 0x1fffe, 0xffffffff} {
+			if got, want := Checksum(data, initial), checksum16(data, initial); got != want {
+				t.Fatalf("len %d initial %#x: Checksum = %04x, reference %04x", n, initial, got, want)
+			}
+		}
+	}
+}
+
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint32(0))
+	f.Add([]byte{0x01, 0x02, 0x03}, uint32(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff}, uint32(0xffffffff))
+	f.Add(bytes.Repeat([]byte{0xab, 0xcd, 0xef}, 200), uint32(0x12345))
+	f.Fuzz(func(t *testing.T, data []byte, initial uint32) {
+		if got, want := Checksum(data, initial), checksum16(data, initial); got != want {
+			t.Fatalf("len %d initial %#x: Checksum = %04x, reference %04x", len(data), initial, got, want)
+		}
+	})
 }
 
 func TestIPv4RoundTrip(t *testing.T) {

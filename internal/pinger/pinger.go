@@ -93,11 +93,11 @@ func (pg *Pinger) sendEcho(payloadSize int) uint16 {
 	pg.seq++
 	seq := pg.seq
 	now := int64(pg.node.Sched().Now())
-	echo := packet.MarshalICMP(
-		packet.ICMPFields{Type: packet.ICMPEcho, ID: pg.ID, Seq: seq},
-		packet.EchoPayload(payloadSize, now),
-	)
-	pg.node.SendIP(packet.ProtoICMP, pg.target, echo)
+	buf := make([]byte, packet.IPv4HeaderLen+packet.ICMPHeaderLen+payloadSize)
+	echo := packet.ICMP(buf[packet.IPv4HeaderLen:])
+	packet.PutEchoPayload(echo.Payload(), now)
+	packet.PutICMPHeader(echo, packet.ICMPFields{Type: packet.ICMPEcho, ID: pg.ID, Seq: seq})
+	pg.node.SendIP(packet.ProtoICMP, pg.target, buf)
 	pg.stats.Sent++
 	return seq
 }

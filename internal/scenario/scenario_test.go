@@ -89,7 +89,7 @@ func TestBuildWirelessConnectivity(t *testing.T) {
 		}
 	})
 	echo := packet.MarshalICMP(packet.ICMPFields{Type: packet.ICMPEcho, ID: 1, Seq: 1}, packet.EchoPayload(32, 0))
-	tb.Laptop.SendIP(packet.ProtoICMP, ServerIP, echo)
+	tb.Laptop.SendIP(packet.ProtoICMP, ServerIP, append(make([]byte, packet.IPv4HeaderLen), echo...))
 	s.Run()
 	if rtt == 0 {
 		t.Fatal("no echo reply across gateway")
@@ -104,7 +104,7 @@ func TestBuildEthernetConnectivity(t *testing.T) {
 	tb := BuildEthernet(s)
 	got := false
 	tb.Server.RegisterProto(99, func(n *simnet.Node, ip packet.IPv4) { got = true })
-	tb.Laptop.SendIP(99, ModServer, []byte("hi"))
+	tb.Laptop.SendIP(99, ModServer, append(make([]byte, packet.IPv4HeaderLen), "hi"...))
 	s.Run()
 	if !got {
 		t.Fatal("isolated ethernet not connected")

@@ -8,6 +8,10 @@
 // in the order they were scheduled. Together these rules make every run
 // bit-reproducible for a given seed, which is the property the trace
 // modulation methodology exists to provide.
+//
+// A bounded run usually ends with processes still parked (servers waiting
+// for requests, daemons waiting for buffer space). Close unwinds them and
+// drops pending events, so the finished simulation can be collected.
 package sim
 
 import (
@@ -77,7 +81,7 @@ type Scheduler struct {
 	// is strict.
 	parked chan struct{}
 
-	procs   int // live processes (spawned, not yet exited)
+	live    []*Proc // processes spawned and not yet exited
 	stopped bool
 }
 
@@ -344,8 +348,8 @@ func (s *Scheduler) run(done func() bool, checkDeadlock bool) Time {
 		s.recycle(e)
 		fn()
 	}
-	if checkDeadlock && !s.stopped && s.Idle() && s.procs > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at %v", s.procs, s.now))
+	if checkDeadlock && !s.stopped && s.Idle() && len(s.live) > 0 {
+		panic(fmt.Sprintf("sim: deadlock: %d process(es) blocked with no pending events at %v", len(s.live), s.now))
 	}
 	return s.now
 }
@@ -357,15 +361,18 @@ func (s *Scheduler) Idle() bool { return len(s.events)-s.dead == 0 }
 func (s *Scheduler) Pending() int { return len(s.events) - s.dead }
 
 // Procs returns the number of live processes.
-func (s *Scheduler) Procs() int { return s.procs }
+func (s *Scheduler) Procs() int { return len(s.live) }
 
 // Proc is a cooperatively scheduled simulated process. All Proc methods must
 // be called from the process's own goroutine.
 type Proc struct {
-	s      *Scheduler
-	name   string
-	resume chan struct{}
-	done   bool
+	s       *Scheduler
+	name    string
+	resume  chan struct{}
+	done    bool
+	started bool // the goroutine exists (its start event has run)
+	killed  bool // set by Close: the next park unwinds the process
+	slot    int  // index in s.live while the process is alive
 	// unparkFn caches the unpark method value so hot primitives (Sleep,
 	// channel wakeups) can schedule it without allocating a new closure
 	// per call.
@@ -384,30 +391,98 @@ func (p *Proc) Now() Time { return p.s.now }
 // Spawn creates a process executing fn. fn starts at the current virtual
 // time, after already-queued events at this instant.
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{s: s, name: name, resume: make(chan struct{})}
+	p := &Proc{s: s, name: name, resume: make(chan struct{}), slot: len(s.live)}
 	p.unparkFn = p.unpark
-	s.procs++
+	s.live = append(s.live, p)
 	s.At(s.now, func() {
-		go func() {
-			<-p.resume
-			fn(p)
-			p.done = true
-			s.procs--
-			s.parked <- struct{}{}
-		}()
+		p.started = true
+		go p.main(fn)
 		p.unparkLocked()
 	})
 	return p
 }
 
+// main is the process goroutine: it waits for its first resume, runs fn,
+// and hands control back to the scheduler when fn returns or is unwound
+// by Close.
+func (p *Proc) main(fn func(p *Proc)) {
+	<-p.resume
+	p.run(fn)
+	p.exit()
+	p.s.parked <- struct{}{}
+}
+
+// run calls fn, absorbing the unwind Close starts. Any other panic
+// propagates and crashes the program, as in an ordinary goroutine.
+func (p *Proc) run(fn func(p *Proc)) {
+	defer func() {
+		if !p.killed {
+			return
+		}
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(r)
+			}
+		}
+	}()
+	fn(p)
+}
+
+// exit marks p finished and drops it from the live set.
+func (p *Proc) exit() {
+	s := p.s
+	p.done = true
+	last := s.live[len(s.live)-1]
+	s.live[p.slot] = last
+	last.slot = p.slot
+	s.live[len(s.live)-1] = nil
+	s.live = s.live[:len(s.live)-1]
+}
+
+// killed is the panic value Close uses to unwind a parked process. The
+// process wrapper recovers it; it never escapes the process goroutine.
+type killed struct{}
+
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
 // park blocks the calling process and returns control to the scheduler.
-// Someone must later call unpark (via a scheduled event) to resume it.
+// Someone must later call unpark (via a scheduled event) to resume it. A
+// process being unwound by Close panics here instead, so a deferred call
+// that would block again unwinds too rather than parking forever.
 func (p *Proc) park() {
+	if p.killed {
+		panic(killed{})
+	}
 	p.s.parked <- struct{}{}
 	<-p.resume
+	if p.killed {
+		panic(killed{})
+	}
+}
+
+// Close ends the simulation: it unwinds every live process and drops every
+// pending event, releasing the goroutines and everything the simulated
+// world still references. A bounded run (RunUntil) typically leaves
+// servers and daemons parked forever; without Close each one pins its
+// goroutine and, through it, the whole world it ran in.
+//
+// A process unwound by Close runs its deferred calls, but any attempt to
+// block again (Sleep, a channel operation, Wait) unwinds it at once. Close
+// must be called from outside the scheduler (after Run or RunUntil has
+// returned), never from an event or a process. The scheduler must not be
+// used afterwards; a second Close is a no-op.
+func (s *Scheduler) Close() {
+	for len(s.live) > 0 {
+		p := s.live[len(s.live)-1]
+		p.killed = true
+		if p.started {
+			p.unparkLocked() // returns once the goroutine has exited
+		} else {
+			p.exit() // its start event never ran: there is no goroutine
+		}
+	}
+	s.events, s.free, s.dead = nil, nil, 0
 }
 
 // unpark resumes p and waits until it parks again or exits. It must be

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -584,4 +585,120 @@ func TestChanFIFOProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// waitGoroutines polls until the goroutine count falls to at most want;
+// exiting goroutines finish their teardown asynchronously.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d, want <= %d", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestCloseReclaimsParkedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(1)
+	c := NewChan[int](s, 1)
+	var unwound []string
+	s.Spawn("server", func(p *Proc) {
+		defer func() { unwound = append(unwound, "server") }()
+		for {
+			if _, ok := c.Recv(p); !ok {
+				return
+			}
+		}
+	})
+	s.Spawn("ticker", func(p *Proc) {
+		defer func() { unwound = append(unwound, "ticker") }()
+		for {
+			p.Sleep(time.Second)
+		}
+	})
+	s.RunUntil(Time(10 * time.Second))
+	if s.Procs() != 2 {
+		t.Fatalf("procs before Close = %d, want 2", s.Procs())
+	}
+	s.Close()
+	if s.Procs() != 0 || s.Pending() != 0 {
+		t.Fatalf("after Close: procs %d pending %d, want 0 0", s.Procs(), s.Pending())
+	}
+	if len(unwound) != 2 {
+		t.Fatalf("deferred calls ran for %v, want both processes", unwound)
+	}
+	waitGoroutines(t, base)
+	s.Close() // idempotent
+}
+
+func TestCloseUnstartedProcess(t *testing.T) {
+	s := New(1)
+	ran := false
+	s.Spawn("never", func(p *Proc) { ran = true })
+	s.Close()
+	if ran || s.Procs() != 0 {
+		t.Fatalf("ran=%v procs=%d: an unstarted process must be discarded", ran, s.Procs())
+	}
+}
+
+func TestCloseDeferredWaitGroupDoneDoesNotDeadlock(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New(1)
+	wg := NewWaitGroup(s)
+	for i := 0; i < 3; i++ {
+		wg.Go("worker", func(p *Proc) { p.Sleep(time.Hour) })
+	}
+	waited := false
+	s.Spawn("waiter", func(p *Proc) {
+		wg.Wait(p)
+		waited = true
+	})
+	s.RunUntil(Time(time.Second))
+	done := make(chan struct{})
+	go func() { s.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close deadlocked on a deferred WaitGroup.Done")
+	}
+	if waited {
+		t.Fatal("the waiter must be unwound, not resumed")
+	}
+	waitGoroutines(t, base)
+}
+
+func TestCloseUnwindsDeferredPark(t *testing.T) {
+	// A killed process whose deferred call tries to block again must
+	// unwind at once instead of parking forever.
+	base := runtime.NumGoroutine()
+	s := New(1)
+	slept := false
+	s.Spawn("stubborn", func(p *Proc) {
+		defer func() {
+			p.Sleep(time.Second)
+			slept = true
+		}()
+		p.Sleep(time.Hour)
+	})
+	s.RunUntil(Time(time.Second))
+	s.Close()
+	if slept {
+		t.Fatal("deferred Sleep returned in a killed process")
+	}
+	waitGoroutines(t, base)
+}
+
+func TestProcessPanicStillPropagates(t *testing.T) {
+	// Close's unwind must not swallow a genuine panic in a live process.
+	p := &Proc{s: New(1)}
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the original panic", r)
+		}
+	}()
+	p.run(func(*Proc) { panic("boom") })
 }

@@ -5,8 +5,23 @@
 // layers install themselves ("between the IP and Ethernet layers of the
 // protocol stack").
 //
-// Frames on a Medium are real serialized bytes (Ethernet around IPv4), so
-// every layer above sees authentic sizes, headers, and checksums.
+// Datagrams are real serialized IPv4 bytes, so every layer above sees
+// authentic sizes, headers, and checksums. The link layer is modelled
+// rather than serialized: a frame on a Medium is the datagram plus its
+// source NIC and destination hardware address, and transmission time and
+// byte counts still charge the 14-byte Ethernet header.
+//
+// Buffer ownership. Every datagram is allocated once, by whoever creates
+// it (a transport, the pinger, the ICMP echo responder), with
+// packet.IPv4HeaderLen bytes of room in front that SendIP fills in place.
+// From there the same slice is handed from owner to owner: output hooks,
+// the NIC, the medium, the receiving NIC, router forwarding, protocol
+// dispatch. The rule is one sentence: a layer never reads or writes a
+// datagram after passing it on. A hook holds a datagram only until it
+// calls next; a Tap sees it for the duration of the call and must not
+// retain it; a protocol handler owns what it is given. The one exception
+// is a broadcast frame, which every receiver sees at once: receivers may
+// read it, and a router that forwards it copies it first.
 package simnet
 
 import (
@@ -99,10 +114,28 @@ type MediumStats struct {
 	QueueDrops int64 // frames dropped at a full NIC queue
 }
 
-type txJob struct {
-	src   *NIC
-	frame []byte
+// broadcastHW is the all-ones link-layer destination.
+var broadcastHW = packet.HWAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+
+// frame is one datagram in flight on a medium: the link-layer header is
+// modelled (source NIC, destination address), the datagram is not copied.
+// Frames are recycled per medium, and each caches its two event callbacks
+// as method values, so a transmission schedules no fresh closures.
+type frame struct {
+	m   *Medium
+	src *NIC
+	dst packet.HWAddr
+	ip  []byte
+
+	// Conditions sampled when transmission starts.
+	latency time.Duration
+	loss    float64
+
+	sentFn, deliverFn func()
 }
+
+// wireLen is the frame's size on the medium, Ethernet header included.
+func (f *frame) wireLen() int { return packet.EthernetHeaderLen + len(f.ip) }
 
 // Medium is a shared, half-duplex broadcast transmission domain: one
 // transmission at a time, serialized FIFO (the contention behaviour of both
@@ -114,8 +147,10 @@ type Medium struct {
 	provider QualityProvider
 	rng      *rand.Rand
 	nics     []*NIC
-	hwSeq    uint16 // per-medium HW address allocator; addresses only resolve within a medium
-	queue    []txJob
+	hwSeq    uint16   // per-medium HW address allocator; addresses only resolve within a medium
+	queue    []*frame // FIFO from head
+	head     int
+	free     []*frame
 	busy     bool
 	stats    MediumStats
 }
@@ -136,58 +171,89 @@ func (m *Medium) Sample() Quality { return m.provider.Sample(m.s.Now()) }
 
 func (m *Medium) attach(n *NIC) { m.nics = append(m.nics, n) }
 
-func (m *Medium) enqueue(src *NIC, frame []byte) {
+func (m *Medium) enqueue(src *NIC, dst packet.HWAddr, ip []byte) {
 	if src.queued >= src.QueueCap {
 		m.stats.QueueDrops++
 		return
 	}
 	src.queued++
-	m.queue = append(m.queue, txJob{src: src, frame: frame})
+	f := m.newFrame()
+	f.src, f.dst, f.ip = src, dst, ip
+	if m.head > 0 && len(m.queue) == cap(m.queue) {
+		// Slide the waiting frames to the front rather than grow past the
+		// sent ones: a medium that never idles keeps a bounded queue.
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
+	}
+	m.queue = append(m.queue, f)
 	if !m.busy {
 		m.startNext()
 	}
 }
 
+func (m *Medium) newFrame() *frame {
+	if n := len(m.free); n > 0 {
+		f := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return f
+	}
+	f := &frame{m: m}
+	f.sentFn, f.deliverFn = f.sent, f.deliver
+	return f
+}
+
+func (m *Medium) release(f *frame) {
+	f.src, f.ip = nil, nil
+	m.free = append(m.free, f)
+}
+
 func (m *Medium) startNext() {
-	if len(m.queue) == 0 {
+	if m.head == len(m.queue) {
+		m.queue, m.head = m.queue[:0], 0
 		m.busy = false
 		return
 	}
 	m.busy = true
-	job := m.queue[0]
-	m.queue = m.queue[1:]
+	f := m.queue[m.head]
+	m.queue[m.head] = nil
+	m.head++
 	q := m.provider.Sample(m.s.Now())
-	loss := q.Loss + job.src.TxExtraLoss
-	if loss > 1 {
-		loss = 1
+	f.latency = q.Latency
+	f.loss = q.Loss + f.src.TxExtraLoss
+	if f.loss > 1 {
+		f.loss = 1
 	}
-	txTime := q.PerByte.Cost(len(job.frame))
-	m.s.After(txTime, func() {
-		job.src.queued--
-		m.stats.Frames++
-		m.stats.Bytes += int64(len(job.frame))
-		if m.rng.Float64() < loss {
-			m.stats.Lost++
-		} else {
-			m.s.After(q.Latency, func() { m.deliver(job) })
-		}
-		m.startNext()
-	})
+	m.s.After(q.PerByte.Cost(f.wireLen()), f.sentFn)
 }
 
-func (m *Medium) deliver(job txJob) {
-	eth := packet.Ethernet(job.frame)
-	if !eth.Valid() {
-		return
+// sent runs when f has fully left the transmitter: the loss lottery
+// decides whether it reaches the receivers one latency later.
+func (f *frame) sent() {
+	m := f.m
+	f.src.queued--
+	m.stats.Frames++
+	m.stats.Bytes += int64(f.wireLen())
+	if m.rng.Float64() < f.loss {
+		m.stats.Lost++
+		m.release(f)
+	} else {
+		m.s.After(f.latency, f.deliverFn)
 	}
-	dst := eth.Dst()
-	broadcast := dst == packet.HWAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	m.startNext()
+}
+
+func (f *frame) deliver() {
+	m, src, dst, ip := f.m, f.src, f.dst, f.ip
+	m.release(f)
+	broadcast := dst == broadcastHW
 	for _, n := range m.nics {
-		if n == job.src {
+		if n == src {
 			continue
 		}
 		if broadcast || n.HW == dst {
-			n.receive(job.frame)
+			n.receive(ip, broadcast)
 			if !broadcast {
 				return
 			}
@@ -230,22 +296,16 @@ func (n *NIC) sameSubnet(ip packet.IPAddr) bool {
 	return n.IP&n.Mask == ip&n.Mask
 }
 
-// send encapsulates an IP datagram in Ethernet and queues it on the medium.
+// send queues an IP datagram on the medium toward the NIC holding nextHop.
 func (n *NIC) send(ip []byte, nextHop packet.IPAddr) {
 	dstHW, ok := n.medium.resolve(nextHop)
 	if !ok {
 		return // no such neighbour: silently dropped like a failed ARP
 	}
-	frame := make([]byte, packet.EthernetHeaderLen+len(ip))
-	eth := packet.Ethernet(frame)
-	eth.SetSrc(n.HW)
-	eth.SetDst(dstHW)
-	eth.SetEtherType(packet.EtherTypeIPv4)
-	copy(eth.Payload(), ip)
 	if n.tap != nil {
-		n.tap(Outbound, n.node.s.Now(), eth.Payload(), n.medium.Sample())
+		n.tap(Outbound, n.node.s.Now(), ip, n.medium.Sample())
 	}
-	n.medium.enqueue(n, frame)
+	n.medium.enqueue(n, dstHW, ip)
 }
 
 // resolve finds the hardware address of the NIC holding ip on this medium.
@@ -258,13 +318,13 @@ func (m *Medium) resolve(ip packet.IPAddr) (packet.HWAddr, bool) {
 	return packet.HWAddr{}, false
 }
 
-func (n *NIC) receive(frame []byte) {
-	eth := packet.Ethernet(frame)
-	ip := eth.Payload()
+// receive takes a datagram off the medium. shared marks a broadcast
+// frame, which the other receivers see too.
+func (n *NIC) receive(ip []byte, shared bool) {
 	if n.tap != nil {
 		n.tap(Inbound, n.node.s.Now(), ip, n.medium.Sample())
 	}
-	n.node.input(n, ip)
+	n.node.input(ip, shared)
 }
 
 // Handler processes a received IP datagram addressed to this node.
@@ -301,6 +361,9 @@ type Node struct {
 	routes   []route
 	outHooks []Hook
 	inHooks  []Hook
+	// out and in are the hook chains composed once per Add*Hook, ending
+	// at transmit and dispatch respectively.
+	out, in  func(ip []byte)
 	handlers map[uint8]Handler
 	ipID     uint16
 	stats    NodeStats
@@ -310,6 +373,7 @@ type Node struct {
 func NewNode(s *sim.Scheduler, name string) *Node {
 	n := &Node{Name: name, s: s, handlers: map[uint8]Handler{}}
 	n.handlers[packet.ProtoICMP] = icmpEchoResponder
+	n.out, n.in = n.transmit, n.dispatch
 	return n
 }
 
@@ -405,21 +469,43 @@ func (n *Node) IsLocal(ip packet.IPAddr) bool {
 
 // AddOutboundHook appends a hook to the output path (runs after the IP
 // layer, before the device).
-func (n *Node) AddOutboundHook(h Hook) { n.outHooks = append(n.outHooks, h) }
+func (n *Node) AddOutboundHook(h Hook) {
+	n.outHooks = append(n.outHooks, h)
+	n.out = composeHooks(n.outHooks, Outbound, n.transmit)
+}
 
 // AddInboundHook appends a hook to the input path (runs after the device,
 // before protocol dispatch).
-func (n *Node) AddInboundHook(h Hook) { n.inHooks = append(n.inHooks, h) }
+func (n *Node) AddInboundHook(h Hook) {
+	n.inHooks = append(n.inHooks, h)
+	n.in = composeHooks(n.inHooks, Inbound, n.dispatch)
+}
+
+// composeHooks composes hooks in registration order in front of final. Each
+// hook's next is built here once, not per datagram.
+func composeHooks(hooks []Hook, dir Direction, final func(ip []byte)) func(ip []byte) {
+	next := final
+	for i := len(hooks) - 1; i >= 0; i-- {
+		h, after := hooks[i], next
+		next = func(ip []byte) { h.Filter(dir, ip, after) }
+	}
+	return next
+}
 
 // RegisterProto installs the handler for an IP protocol number, replacing
 // any previous handler (including the built-in ICMP echo responder).
 func (n *Node) RegisterProto(proto uint8, h Handler) { n.handlers[proto] = h }
 
-// SendIP builds an IPv4 datagram and sends it through the output hooks and
-// routing. It returns false if no route exists.
-func (n *Node) SendIP(proto uint8, dst packet.IPAddr, payload []byte) bool {
-	if len(payload) > packet.MTU-packet.IPv4HeaderLen {
-		panic(fmt.Sprintf("simnet: payload %d exceeds MTU", len(payload)))
+// SendIP sends the IPv4 datagram buf through the output hooks and routing.
+// buf is the whole datagram: packet.IPv4HeaderLen bytes of room, which
+// SendIP fills with the header in place, followed by the protocol payload.
+// SendIP takes ownership of buf. It returns false if no route exists.
+func (n *Node) SendIP(proto uint8, dst packet.IPAddr, buf []byte) bool {
+	if len(buf) < packet.IPv4HeaderLen {
+		panic(fmt.Sprintf("simnet: datagram %d bytes has no room for the IP header", len(buf)))
+	}
+	if len(buf) > packet.MTU {
+		panic(fmt.Sprintf("simnet: payload %d exceeds MTU", len(buf)-packet.IPv4HeaderLen))
 	}
 	r := n.lookupRoute(dst)
 	if r == nil {
@@ -427,12 +513,11 @@ func (n *Node) SendIP(proto uint8, dst packet.IPAddr, payload []byte) bool {
 		return false
 	}
 	n.ipID++
-	src := r.nic.IP
-	ip := packet.MarshalIPv4(packet.IPv4Fields{
-		ID: n.ipID, TTL: 64, Protocol: proto, Src: src, Dst: dst,
-	}, payload)
+	packet.PutIPv4Header(buf, packet.IPv4Fields{
+		ID: n.ipID, TTL: 64, Protocol: proto, Src: r.nic.IP, Dst: dst,
+	})
 	n.stats.Sent++
-	n.runHooks(n.outHooks, Outbound, ip, func(out []byte) { n.transmit(out) })
+	n.out(buf)
 	return true
 }
 
@@ -454,21 +539,9 @@ func (n *Node) transmit(ip []byte) {
 	r.nic.send(ip, nextHop)
 }
 
-// runHooks threads the datagram through the chain, ending at final.
-func (n *Node) runHooks(hooks []Hook, dir Direction, ip []byte, final func([]byte)) {
-	var step func(i int, b []byte)
-	step = func(i int, b []byte) {
-		if i == len(hooks) {
-			final(b)
-			return
-		}
-		hooks[i].Filter(dir, b, func(next []byte) { step(i+1, next) })
-	}
-	step(0, ip)
-}
-
-// input handles a datagram arriving on nic.
-func (n *Node) input(nic *NIC, ip []byte) {
+// input handles a datagram arriving from a NIC; shared marks a broadcast
+// frame other receivers also hold.
+func (n *Node) input(ip []byte, shared bool) {
 	v := packet.IPv4(ip)
 	if v.Valid() != nil || !v.ChecksumOK() {
 		n.stats.BadSum++
@@ -478,35 +551,40 @@ func (n *Node) input(nic *NIC, ip []byte) {
 		if !n.Forwarding {
 			return
 		}
-		n.forward(ip)
+		n.forward(ip, shared)
 		return
 	}
-	n.runHooks(n.inHooks, Inbound, ip, func(b []byte) {
-		w := packet.IPv4(b)
-		if w.Valid() != nil {
-			return
-		}
-		n.stats.Received++
-		if h, ok := n.handlers[w.Protocol()]; ok {
-			h(n, w)
-		}
-	})
+	n.in(ip)
 }
 
-func (n *Node) forward(ip []byte) {
-	v := packet.IPv4(ip)
-	if v.TTL() <= 1 {
+// dispatch hands a datagram that cleared the input hooks to its protocol.
+func (n *Node) dispatch(ip []byte) {
+	w := packet.IPv4(ip)
+	if w.Valid() != nil {
+		return
+	}
+	n.stats.Received++
+	if h, ok := n.handlers[w.Protocol()]; ok {
+		h(n, w)
+	}
+}
+
+// forward decrements the TTL and retransmits. A unicast datagram is the
+// router's own by the ownership rule and is rewritten in place; a shared
+// broadcast one is copied first.
+func (n *Node) forward(ip []byte, shared bool) {
+	if packet.IPv4(ip).TTL() <= 1 {
 		n.stats.TTLDrops++
 		return
 	}
-	// Copy before mutating: upstream hooks may retain the buffer.
-	fwd := make([]byte, len(ip))
-	copy(fwd, ip)
-	w := packet.IPv4(fwd)
+	if shared {
+		ip = append([]byte(nil), ip...)
+	}
+	w := packet.IPv4(ip)
 	w.SetTTL(w.TTL() - 1)
 	w.SetChecksum()
 	n.stats.Forwarded++
-	n.transmit(fwd)
+	n.transmit(ip)
 }
 
 // icmpEchoResponder is every node's built-in answer to ICMP ECHO: reply
@@ -516,8 +594,11 @@ func icmpEchoResponder(n *Node, ip packet.IPv4) {
 	if !m.Valid() || m.Type() != packet.ICMPEcho {
 		return
 	}
-	reply := packet.MarshalICMP(packet.ICMPFields{
+	buf := make([]byte, packet.IPv4HeaderLen+len(m))
+	reply := packet.ICMP(buf[packet.IPv4HeaderLen:])
+	copy(reply.Payload(), m.Payload())
+	packet.PutICMPHeader(reply, packet.ICMPFields{
 		Type: packet.ICMPEchoReply, ID: m.ID(), Seq: m.Seq(),
-	}, m.Payload())
-	n.SendIP(packet.ProtoICMP, ip.Src(), reply)
+	})
+	n.SendIP(packet.ProtoICMP, ip.Src(), buf)
 }

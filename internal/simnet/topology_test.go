@@ -49,10 +49,10 @@ func TestTwoHopForwardingRoundTrip(t *testing.T) {
 	var ttl uint8
 	b.RegisterProto(200, func(n *Node, ip packet.IPv4) {
 		ttl = ip.TTL()
-		n.SendIP(201, ip.Src(), []byte("pong"))
+		n.SendIP(201, ip.Src(), withIPRoom([]byte("pong")))
 	})
 	a.RegisterProto(201, func(n *Node, ip packet.IPv4) { echoed = true })
-	if !a.SendIP(200, packet.IP4(10, 3, 0, 1), []byte("ping")) {
+	if !a.SendIP(200, packet.IP4(10, 3, 0, 1), withIPRoom([]byte("ping"))) {
 		t.Fatal("send failed")
 	}
 	s.Run()
@@ -78,7 +78,7 @@ func TestICMPAcrossChain(t *testing.T) {
 	})
 	echo := packet.MarshalICMP(packet.ICMPFields{Type: packet.ICMPEcho, ID: 5, Seq: 1},
 		packet.EchoPayload(64, int64(s.Now())))
-	a.SendIP(packet.ProtoICMP, packet.IP4(10, 3, 0, 1), echo)
+	a.SendIP(packet.ProtoICMP, packet.IP4(10, 3, 0, 1), withIPRoom(echo))
 	s.Run()
 	// Six medium traversals at 1ms latency each, plus transmission time.
 	if rtt < 6*time.Millisecond || rtt > 8*time.Millisecond {
@@ -104,7 +104,7 @@ func TestSharedMediumFairness(t *testing.T) {
 		snd := snd
 		s.Spawn("sender", func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
-				snd.SendIP(200, packet.IP4(10, 0, 0, 3), make([]byte, 400))
+				snd.SendIP(200, packet.IP4(10, 0, 0, 3), withIPRoom(make([]byte, 400)))
 				p.Sleep(300 * time.Microsecond) // offered load ≈ 1.5x capacity each
 			}
 		})
@@ -141,7 +141,7 @@ func TestHookDropCounting(t *testing.T) {
 	got := 0
 	b.RegisterProto(200, func(nn *Node, ip packet.IPv4) { got++ })
 	for i := 0; i < 10; i++ {
-		a.SendIP(200, packet.IP4(10, 0, 0, 2), []byte("x"))
+		a.SendIP(200, packet.IP4(10, 0, 0, 2), withIPRoom([]byte("x")))
 	}
 	s.Run()
 	if got != 5 {
@@ -165,7 +165,7 @@ func TestMTUEnforcement(t *testing.T) {
 			t.Fatal("oversize payload must panic")
 		}
 	}()
-	a.SendIP(200, packet.IP4(10, 0, 0, 2), make([]byte, packet.MTU))
+	a.SendIP(200, packet.IP4(10, 0, 0, 2), withIPRoom(make([]byte, packet.MTU)))
 }
 
 func TestSrcForRouting(t *testing.T) {

@@ -171,6 +171,7 @@ type Conn struct {
 	sndUna   uint32 // oldest unacknowledged sequence number
 	sndNxt   uint32 // next sequence number to send
 	sendBuf  []byte // unsent+unacked bytes; sendBuf[0] is at seq sndUna
+	sendMem  []byte // sendBuf's backing array (see queueAppend)
 	sendFin  bool   // application closed; FIN after buffer drains
 	finSent  bool
 	finSeq   uint32
@@ -200,6 +201,7 @@ type Conn struct {
 	irs     uint32
 	rcvNxt  uint32
 	recvBuf []byte
+	recvMem []byte            // recvBuf's backing array (see queueAppend)
 	oo      map[uint32][]byte // out-of-order segments keyed by seq
 	peerFin bool
 	finRcvd uint32 // sequence number of peer FIN
@@ -255,8 +257,36 @@ func (c *Conn) sendSeg(flags uint8, seq, ack uint32, data []byte) {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: uint16(c.recvWindow()),
 	}
-	seg := packet.MarshalTCP(f, c.localIP(), c.key.remoteIP, data)
-	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, seg)
+	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, tcpDatagram(f, c.localIP(), c.key.remoteIP, data))
+}
+
+// queueAppend appends data to q, a byte queue consumed by slicing bytes
+// off its front, inside the backing array *mem. When q's tail reaches the
+// end of *mem, q's live bytes first move back to the front of *mem (which
+// grows only if they still do not fit), so a queue in steady state
+// allocates nothing however many bytes stream through it.
+func queueAppend(q []byte, mem *[]byte, data []byte) []byte {
+	if len(q)+len(data) <= cap(q) {
+		return append(q, data...)
+	}
+	if need := len(q) + len(data); need > cap(*mem) {
+		grown := make([]byte, 2*need)
+		copy(grown, q)
+		*mem = grown
+	} else {
+		copy(*mem, q)
+	}
+	return append((*mem)[:len(q)], data...)
+}
+
+// tcpDatagram allocates the one buffer a segment lives in from here to
+// its receiver: IP header room (SendIP fills it), then the TCP segment.
+func tcpDatagram(f packet.TCPFields, src, dst packet.IPAddr, data []byte) []byte {
+	buf := make([]byte, packet.IPv4HeaderLen+packet.TCPHeaderLen+len(data))
+	seg := packet.TCP(buf[packet.IPv4HeaderLen:])
+	copy(seg[packet.TCPHeaderLen:], data)
+	packet.PutTCPHeader(seg, f, src, dst)
+	return buf
 }
 
 func (c *Conn) sendAck() {
@@ -525,7 +555,7 @@ func (t *TCPStack) input(n *simnet.Node, ip packet.IPv4) {
 	}
 	// No socket: refuse non-RST segments.
 	if seg.Flags()&packet.TCPRst == 0 {
-		rst := packet.MarshalTCP(packet.TCPFields{
+		rst := tcpDatagram(packet.TCPFields{
 			SrcPort: seg.DstPort(), DstPort: seg.SrcPort(),
 			Seq: seg.Ack(), Ack: seg.Seq() + 1, Flags: packet.TCPRst | packet.TCPAck,
 		}, ip.Dst(), ip.Src(), nil)
@@ -757,13 +787,14 @@ func (c *Conn) processData(seq uint32, data []byte) {
 	if seq != c.rcvNxt {
 		// Out of order: buffer (bounded by window) and send a dup ack.
 		// Keep the longest data seen at a given offset; retransmissions
-		// may re-segment the stream at different boundaries.
+		// may re-segment the stream at different boundaries. The segment
+		// is this stack's by simnet's ownership rule, so it is kept as is.
 		if existing, dup := c.oo[seq]; dup {
 			if len(data) > len(existing) {
-				c.oo[seq] = append([]byte(nil), data...)
+				c.oo[seq] = data
 			}
 		} else if len(c.oo) < 256 {
-			c.oo[seq] = append([]byte(nil), data...)
+			c.oo[seq] = data
 		}
 		c.sendAck()
 		return
@@ -773,7 +804,7 @@ func (c *Conn) processData(seq uint32, data []byte) {
 	// re-segment), so the drain is overlap-tolerant rather than an
 	// exact-key lookup.
 	filledHole := len(c.oo) > 0
-	c.recvBuf = append(c.recvBuf, data...)
+	c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, data)
 	c.rcvNxt += uint32(len(data))
 	c.drainOutOfOrder()
 	// Deferred FIN that data just reached?
@@ -838,7 +869,7 @@ func (c *Conn) drainOutOfOrder() {
 			}
 			if seqLE(seq, c.rcvNxt) {
 				skip := c.rcvNxt - seq
-				c.recvBuf = append(c.recvBuf, data[skip:]...)
+				c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, data[skip:])
 				c.rcvNxt = end
 				delete(c.oo, seq)
 				advanced = true
@@ -888,7 +919,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if n > room {
 			n = room
 		}
-		c.sendBuf = append(c.sendBuf, data[written:written+n]...)
+		c.sendBuf = queueAppend(c.sendBuf, &c.sendMem, data[written:written+n])
 		written += n
 		c.trySend()
 	}

@@ -273,3 +273,36 @@ func TestConnStateStrings(t *testing.T) {
 		t.Fatal("debug string empty")
 	}
 }
+
+func TestQueueAppendIsFIFOAndReusesMemory(t *testing.T) {
+	var q, mem []byte
+	var want []byte // the reference queue
+	next := byte(0)
+	push := func(n int) {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = next
+			next++
+		}
+		q = queueAppend(q, &mem, data)
+		want = append(want, data...)
+	}
+	pop := func(n int) {
+		q, want = q[n:], want[n:]
+	}
+	for i := 0; i < 200; i++ {
+		push(1 + i%7*300)
+		if !bytes.Equal(q, want) {
+			t.Fatalf("step %d: queue diverged from reference", i)
+		}
+		pop(len(q) / 2)
+	}
+	// Steady state: a bounded queue streaming through reuses its array.
+	data := make([]byte, 1460)
+	if allocs := testing.AllocsPerRun(100, func() {
+		q = queueAppend(q, &mem, data)
+		q = q[len(data):]
+	}); allocs != 0 {
+		t.Fatalf("steady-state queueAppend allocates %.1f per call", allocs)
+	}
+}

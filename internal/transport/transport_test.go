@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -65,6 +66,42 @@ func TestUDPSendRecv(t *testing.T) {
 	}
 	if string(echo.Data) != "pong" || echo.FromPort != 2049 {
 		t.Fatalf("client got %+v", echo)
+	}
+}
+
+func TestUDPReceivedDataNotClobbered(t *testing.T) {
+	// The stack hands the socket a slice of the received datagram itself.
+	// Neither the sender reusing its buffer, nor later traffic, nor an
+	// append by the reader may change a Datagram already received.
+	s := sim.New(1)
+	a, b := pair(s, fastLAN())
+	sa, _ := NewUDP(a).Bind(0)
+	sb, _ := NewUDP(b).Bind(2049)
+	msg := []byte("datagram-0")
+	s.Spawn("send", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			msg[len(msg)-1] = byte('0' + i)
+			sa.SendTo(ipB, 2049, msg)
+			p.Sleep(time.Millisecond)
+		}
+		copy(msg, "XXXXXXXXXX") // the caller's buffer stays the caller's
+	})
+	var got []Datagram
+	s.Spawn("recv", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			d, _ := sb.Recv(p)
+			got = append(got, d)
+			_ = append(got[0].Data, "-grown"...)
+		}
+	})
+	s.Run()
+	if len(got) != 4 {
+		t.Fatalf("received %d datagrams, want 4", len(got))
+	}
+	for i, d := range got {
+		if want := fmt.Sprintf("datagram-%d", i); string(d.Data) != want {
+			t.Fatalf("datagram %d reads %q after later traffic, want %q", i, d.Data, want)
+		}
 	}
 }
 

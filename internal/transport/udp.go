@@ -52,8 +52,11 @@ func (u *UDPStack) input(n *simnet.Node, ip packet.IPv4) {
 	if !ok {
 		return
 	}
-	data := append([]byte(nil), dg.Payload()...)
-	sock.recvq.TrySend(Datagram{From: ip.Src(), FromPort: dg.SrcPort(), Data: data})
+	// The datagram is this stack's by simnet's ownership rule: hand the
+	// payload to the socket without copying, capped so an append by the
+	// reader cannot run into bytes past it.
+	data := dg.Payload()
+	sock.recvq.TrySend(Datagram{From: ip.Src(), FromPort: dg.SrcPort(), Data: data[:len(data):len(data)]})
 }
 
 // ErrPortInUse is returned by Bind for an occupied port.
@@ -103,8 +106,11 @@ func (s *UDPSocket) SendTo(dst packet.IPAddr, port uint16, data []byte) bool {
 	if !ok {
 		return false
 	}
-	dg := packet.MarshalUDP(s.port, port, src, dst, data)
-	return s.stack.node.SendIP(packet.ProtoUDP, dst, dg)
+	buf := make([]byte, packet.IPv4HeaderLen+packet.UDPHeaderLen+len(data))
+	dg := packet.UDP(buf[packet.IPv4HeaderLen:])
+	copy(dg[packet.UDPHeaderLen:], data)
+	packet.PutUDPHeader(dg, s.port, port, src, dst)
+	return s.stack.node.SendIP(packet.ProtoUDP, dst, buf)
 }
 
 // Recv blocks until a datagram arrives.
