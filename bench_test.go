@@ -12,9 +12,13 @@ package tracemod_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -571,6 +575,44 @@ func BenchmarkEmudSessionFarm(b *testing.B) {
 		b.ReportMetric(float64(peak-base)/sessions, "goroutines/session")
 		b.ReportMetric(float64(delivered.Load())/sessions, "delivered/session")
 		b.ReportMetric(float64(dropped.Load())/float64(sessions*perSession), "drop-rate")
+	}
+}
+
+// BenchmarkControlPlaneSessionCycle measures one tenant's session
+// lifecycle through the hardened control-plane handler, metrics on as the
+// daemon runs it: POST /v1/sessions with an inline trace and an
+// Idempotency-Key, GET the session, DELETE it. No listener is involved,
+// so the figure is the control plane's own cost per cycle: routing,
+// idempotency bookkeeping, session build and teardown.
+func BenchmarkControlPlaneSessionCycle(b *testing.B) {
+	b.ReportAllocs()
+	reg := obs.NewRegistry()
+	m := emud.NewManager(emud.Options{Metrics: reg, Granularity: 10 * time.Millisecond})
+	defer m.Close()
+	h := emud.NewAPI(m, reg, nil).Handler()
+	body := []byte(`{"inline":[{"duration_sec":30,"latency_ms":20,"vb_ns_per_byte":800,"loss":0.01},` +
+		`{"duration_sec":30,"latency_ms":40,"vb_ns_per_byte":1600,"loss":0.02}],"seed":7}`)
+	do := func(method, target string, body []byte, key string, want int) []byte {
+		req := httptest.NewRequest(method, target, bytes.NewReader(body))
+		if key != "" {
+			req.Header.Set("Idempotency-Key", key)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			b.Fatalf("%s %s = %d, want %d: %s", method, target, rec.Code, want, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var si emud.SessionInfo
+		raw := do(http.MethodPost, "/v1/sessions", body, "cycle-"+strconv.Itoa(i), http.StatusCreated)
+		if err := json.Unmarshal(raw, &si); err != nil {
+			b.Fatal(err)
+		}
+		do(http.MethodGet, "/v1/sessions/"+si.ID, nil, "", http.StatusOK)
+		do(http.MethodDelete, "/v1/sessions/"+si.ID, nil, "", http.StatusNoContent)
 	}
 }
 

@@ -29,13 +29,13 @@ func TestSanitizeCollectedRules(t *testing.T) {
 	tr := &tracefmt.Trace{
 		Packets: []tracefmt.PacketRecord{
 			{At: 0, Size: 100, RTT: -1},
-			{At: 1e6, Size: 0, RTT: -1},                              // zero size: drop
-			{At: 2e6, Size: 100, Dir: 9, RTT: -1},                    // bad direction: drop
-			{At: 3e6, Size: 100, RTT: -7},                            // bad rtt sentinel: clear
-			{At: 3e6 - 10e6, Size: 100, RTT: -1},                     // 10ms backwards: clamp
-			{At: int64(time.Hour) * 30, Size: 100, RTT: -1},          // 30h forward: drop
-			{At: 4e6, Size: 100, RTT: int64(time.Hour)},              // absurd rtt: clear
-			{At: -1e18, Size: 100, RTT: -1},                          // deep past: drop
+			{At: 1e6, Size: 0, RTT: -1},                     // zero size: drop
+			{At: 2e6, Size: 100, Dir: 9, RTT: -1},           // bad direction: drop
+			{At: 3e6, Size: 100, RTT: -7},                   // bad rtt sentinel: clear
+			{At: 3e6 - 10e6, Size: 100, RTT: -1},            // 10ms backwards: clamp
+			{At: int64(time.Hour) * 30, Size: 100, RTT: -1}, // 30h forward: drop
+			{At: 4e6, Size: 100, RTT: int64(time.Hour)},     // absurd rtt: clear
+			{At: -1e18, Size: 100, RTT: -1},                 // deep past: drop
 		},
 		Devices: []tracefmt.DeviceRecord{
 			{At: 0, Signal: 10},

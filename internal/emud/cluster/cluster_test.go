@@ -249,6 +249,37 @@ func TestProxyRetriesTransportFaults(t *testing.T) {
 	}
 }
 
+// TestMintedKeysAreNotCached: a key-less create is forwarded under a key
+// the coordinator mints, which no client can ever replay, so it must not
+// occupy the replay table — while client keys still do.
+func TestMintedKeysAreNotCached(t *testing.T) {
+	w1 := newTestWorker(t, "w1")
+	w2 := newTestWorker(t, "w2")
+	c, srv := newTestCluster(t, w1, w2)
+
+	const n = 12
+	for i := 0; i < n; i++ {
+		res, raw := postJSON(t, srv.URL+"/v1/sessions", inlineSession(fmt.Sprintf("m%d", i), int64(i)), nil)
+		if res.StatusCode != http.StatusCreated {
+			t.Fatalf("key-less create %d = %d: %s", i, res.StatusCode, raw)
+		}
+	}
+	if got := w1.m.Count() + w2.m.Count(); got != n {
+		t.Fatalf("farm holds %d sessions after %d key-less creates", got, n)
+	}
+	if got := c.idem.Len(); got != 0 {
+		t.Fatalf("coordinator holds %d idempotency entries after key-less creates, want 0", got)
+	}
+	res, raw := postJSON(t, srv.URL+"/v1/sessions", inlineSession("keyed", 99),
+		map[string]string{"Idempotency-Key": "client-key"})
+	if res.StatusCode != http.StatusCreated {
+		t.Fatalf("keyed create = %d: %s", res.StatusCode, raw)
+	}
+	if got := c.idem.Len(); got != 1 {
+		t.Fatalf("coordinator holds %d idempotency entries after one keyed create, want 1", got)
+	}
+}
+
 // waitFor polls until cond is true or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"tracemod/internal/emud"
+	"tracemod/internal/emud/idem"
 	"tracemod/internal/faults"
 	"tracemod/internal/obs"
 )
@@ -169,8 +170,8 @@ type Coordinator struct {
 	workers     map[string]*worker
 	place       map[string]string // session ID -> worker name
 	streamPlace map[string]string // stream name -> worker name
-	idem        map[string]*idemEntry
 
+	idem    *idem.Table[createReply] // client-keyed creates; has its own lock
 	idemSeq atomic.Int64
 
 	done      chan struct{}
@@ -217,7 +218,7 @@ func New(opts Options) *Coordinator {
 		workers:     make(map[string]*worker),
 		place:       make(map[string]string),
 		streamPlace: make(map[string]string),
-		idem:        make(map[string]*idemEntry),
+		idem:        idem.New[createReply](nil),
 		done:        make(chan struct{}),
 	}
 	if c.client == nil {

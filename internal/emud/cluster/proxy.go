@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -20,24 +21,18 @@ import (
 	"tracemod/internal/emud"
 )
 
-const (
-	// proxyMaxBody bounds buffered request bodies. Stream append chunks
-	// are the largest legitimate payload; they are bounded client-side,
-	// and 8 MiB leaves generous headroom.
-	proxyMaxBody = 8 << 20
-	// idemTTL is how long a successful create's response replays for.
-	idemTTL = 10 * time.Minute
-)
+// proxyMaxBody bounds buffered request bodies. Stream append chunks are
+// the largest legitimate payload; they are bounded client-side, and 8 MiB
+// leaves generous headroom.
+const proxyMaxBody = 8 << 20
 
-// idemEntry is one in-flight or completed idempotent create. The owner
-// (first arrival for the key) executes; followers block on done and then
-// replay status+body. Failures are forgotten so a retry re-executes.
-type idemEntry struct {
-	done   chan struct{}
+// createReply is a successful create's response as the idempotency
+// table keeps it: status, exactly-sized body and content type, replayed
+// verbatim to later requests carrying the same key.
+type createReply struct {
 	status int
 	body   []byte
 	ctype  string
-	exp    time.Time
 }
 
 // Handler returns the coordinator's control-plane handler.
@@ -115,7 +110,7 @@ func (c *Coordinator) forward(r *http.Request, workerName string) (*forwarded, e
 	if !ok {
 		return nil, fmt.Errorf("worker %q unroutable", workerName)
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, proxyMaxBody))
+	body, err := readBody(r.Body, r.ContentLength, proxyMaxBody)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +145,7 @@ func (c *Coordinator) forward(r *http.Request, workerName string) (*forwarded, e
 			return derr
 		}
 		defer res.Body.Close()
-		rb, berr := io.ReadAll(res.Body)
+		rb, berr := readBody(res.Body, res.ContentLength, math.MaxInt64)
 		if berr != nil {
 			return berr
 		}
@@ -162,6 +157,20 @@ func (c *Coordinator) forward(r *http.Request, workerName string) (*forwarded, e
 	}
 	c.proxied.Inc()
 	return out, nil
+}
+
+// readBody reads a body of declared length n (-1 when unknown), at most
+// limit bytes: into an exactly-sized slice when n is known, otherwise by
+// io.ReadAll.
+func readBody(body io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > limit {
+		return io.ReadAll(io.LimitReader(body, limit))
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(body, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 func (f *forwarded) write(w http.ResponseWriter) {
@@ -178,98 +187,86 @@ func (f *forwarded) write(w http.ResponseWriter) {
 
 // idemKey returns the request's idempotency key, minting one when the
 // client did not send one so the coordinator's own retries are still
-// safe against double-creation on the worker.
-func (c *Coordinator) idemKey(r *http.Request) string {
+// safe against double-creation on the worker. minted reports the latter:
+// no client can ever replay a minted key, so it is not cached here.
+func (c *Coordinator) idemKey(r *http.Request) (key string, minted bool) {
 	if k := r.Header.Get("Idempotency-Key"); k != "" {
-		return k
+		return k, false
 	}
-	return fmt.Sprintf("coord-%d-%d", time.Now().UnixNano(), c.idemSeq.Add(1))
-}
-
-// idemClaim single-flights a key: the first caller becomes the owner and
-// must idemResolve; later callers get the entry to wait on.
-func (c *Coordinator) idemClaim(key string) (*idemEntry, bool) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.idem {
-		if !e.exp.IsZero() && now.After(e.exp) {
-			delete(c.idem, k)
-		}
-	}
-	if e, ok := c.idem[key]; ok {
-		return e, false
-	}
-	e := &idemEntry{done: make(chan struct{})}
-	c.idem[key] = e
-	return e, true
-}
-
-// idemResolve publishes the owner's outcome. 2xx responses replay until
-// idemTTL; everything else is forgotten so a retry re-executes.
-func (c *Coordinator) idemResolve(key string, e *idemEntry, f *forwarded) {
-	c.mu.Lock()
-	if f != nil && f.status >= 200 && f.status < 300 {
-		e.status = f.status
-		e.body = f.body
-		e.ctype = f.header.Get("Content-Type")
-		e.exp = time.Now().Add(idemTTL)
-	} else {
-		delete(c.idem, key)
-	}
-	c.mu.Unlock()
-	close(e.done)
+	return fmt.Sprintf("coord-%d-%d", time.Now().UnixNano(), c.idemSeq.Add(1)), true
 }
 
 // createPlaced handles a placement-keyed, idempotent create: place the
 // key on the ring, single-flight it, forward with the key attached, and
-// record the placement via record() on success.
+// record the placement via record() on success. A client key's 2xx
+// response replays for idem.TTL; a minted key is forwarded without
+// touching the table.
 func (c *Coordinator) createPlaced(w http.ResponseWriter, r *http.Request, record func(body []byte, workerName string)) {
-	key := c.idemKey(r)
+	key, minted := c.idemKey(r)
 	r.Header.Set("Idempotency-Key", key)
-	for {
-		e, owner := c.idemClaim(key)
-		if owner {
-			target, ok := c.ring.Get(key)
-			if !ok {
-				c.idemResolve(key, e, nil)
-				writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("no alive workers"))
-				return
-			}
-			f, err := c.forward(r, target)
-			if err != nil {
-				c.idemResolve(key, e, nil)
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("worker %s: %w", target, err))
-				return
-			}
-			if f.status >= 200 && f.status < 300 {
-				record(f.body, target)
-			}
-			c.idemResolve(key, e, f)
+	if minted {
+		if f := c.forwardCreate(w, r, key, record); f != nil {
 			f.write(w)
+		}
+		return
+	}
+	for {
+		e, owner := c.idem.Claim(key)
+		if owner {
+			f := c.forwardCreate(w, r, key, record)
+			var rp createReply
+			ok := f != nil && f.status >= 200 && f.status < 300
+			if ok {
+				// Held for idem.TTL: keep no io.ReadAll growth slack.
+				body := f.body
+				if cap(body) != len(body) {
+					body = append(make([]byte, 0, len(body)), body...)
+				}
+				rp = createReply{status: f.status, body: body, ctype: f.header.Get("Content-Type")}
+			}
+			c.idem.Resolve(e, rp, ok)
+			if f != nil {
+				f.write(w)
+			}
 			return
 		}
-		select {
-		case <-e.done:
-		case <-r.Context().Done():
+		rp, ok, err := c.idem.Wait(r.Context(), e)
+		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("canceled waiting on idempotent create"))
 			return
 		}
-		c.mu.Lock()
-		status, body, ctype := e.status, e.body, e.ctype
-		c.mu.Unlock()
-		if status == 0 {
+		if !ok {
 			// The owner failed and forgot the entry; take ownership on
 			// the next lap and re-execute.
 			continue
 		}
-		if ctype != "" {
-			w.Header().Set("Content-Type", ctype)
+		if rp.ctype != "" {
+			w.Header().Set("Content-Type", rp.ctype)
 		}
-		w.WriteHeader(status)
-		_, _ = w.Write(body)
+		w.WriteHeader(rp.status)
+		_, _ = w.Write(rp.body)
 		return
 	}
+}
+
+// forwardCreate places key on the ring and forwards the create, recording
+// a 2xx's placement. When no worker answers it writes the error response
+// itself and returns nil.
+func (c *Coordinator) forwardCreate(w http.ResponseWriter, r *http.Request, key string, record func(body []byte, workerName string)) *forwarded {
+	target, ok := c.ring.Get(key)
+	if !ok {
+		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("no alive workers"))
+		return nil
+	}
+	f, err := c.forward(r, target)
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, fmt.Errorf("worker %s: %w", target, err))
+		return nil
+	}
+	if f.status >= 200 && f.status < 300 {
+		record(f.body, target)
+	}
+	return f
 }
 
 func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request) {

@@ -16,10 +16,10 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"tracemod/internal/core"
+	"tracemod/internal/emud/idem"
 	"tracemod/internal/emud/pressure"
 	"tracemod/internal/faults"
 	"tracemod/internal/livewire"
@@ -50,27 +50,14 @@ type API struct {
 	// idem deduplicates session creates by Idempotency-Key: a retried
 	// create (a client resending after a lost response, or a cluster
 	// coordinator's backoff retry) returns the original session instead of
-	// minting a second one.
-	idemMu sync.Mutex
-	idem   map[string]*idemEntry
+	// minting a second one. Values are created session IDs.
+	idem *idem.Table[string]
 }
-
-// idemEntry is one Idempotency-Key's state: pending (done open) while the
-// first request executes, then the created session's ID. Failed creates
-// are forgotten so a retry re-executes.
-type idemEntry struct {
-	done chan struct{}
-	id   string
-	exp  time.Time
-}
-
-// idemTTL bounds how long a completed create is replayable by key.
-const idemTTL = 10 * time.Minute
 
 // NewAPI builds the control plane. reg and tracer may be nil; when reg is
 // non-nil the obs debug surface is mounted alongside the session routes.
 func NewAPI(m *Manager, reg *obs.Registry, tracer *obs.RingTracer) *API {
-	a := &API{m: m, reg: reg, tr: tracer}
+	a := &API{m: m, reg: reg, tr: tracer, idem: idem.New[string](nil)}
 	if inj := m.opts.Faults; inj != nil {
 		a.faultSlow = inj.Point("control.slow")
 		a.faultErr = inj.Point("control.error")
@@ -123,6 +110,7 @@ func (a *API) Mux() *http.ServeMux {
 // points, and a JSON error envelope (plain-text errors like the mux's
 // own 404/405 become {"error": ..., "status": ...}).
 func (a *API) Handler() http.Handler {
+	mux := a.Mux()
 	return a.trace(a.envelope(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Live-ingest uploads (initial POST and resumed PATCH) are exempt
 		// from the body cap: a collected trace is unbounded by design, and
@@ -146,7 +134,7 @@ func (a *API) Handler() http.Handler {
 				return
 			}
 		}
-		a.Mux().ServeHTTP(w, r)
+		mux.ServeHTTP(w, r)
 	})))
 }
 
@@ -591,49 +579,6 @@ func (a *API) resolveTrace(req *SessionRequest) (core.Trace, *LiveTrace, string,
 	}
 }
 
-// idemClaim resolves one Idempotency-Key attempt: owner=true means this
-// request executes the create (and must settle the entry with
-// idemResolve); otherwise the returned entry is an earlier attempt to
-// wait on.
-func (a *API) idemClaim(key string) (*idemEntry, bool) {
-	a.idemMu.Lock()
-	defer a.idemMu.Unlock()
-	if a.idem == nil {
-		a.idem = map[string]*idemEntry{}
-	}
-	now := time.Now()
-	for k, e := range a.idem {
-		if !e.exp.IsZero() && now.After(e.exp) {
-			delete(a.idem, k)
-		}
-	}
-	if e, ok := a.idem[key]; ok {
-		return e, false
-	}
-	e := &idemEntry{done: make(chan struct{})}
-	a.idem[key] = e
-	return e, true
-}
-
-// idemResolve settles a claimed key: successful creates are remembered
-// for idemTTL; failures are forgotten so a retry re-executes.
-func (a *API) idemResolve(key, id string, ok bool) {
-	a.idemMu.Lock()
-	e := a.idem[key]
-	if e != nil {
-		if ok {
-			e.id = id
-			e.exp = time.Now().Add(idemTTL)
-		} else {
-			delete(a.idem, key)
-		}
-	}
-	a.idemMu.Unlock()
-	if e != nil {
-		close(e.done)
-	}
-}
-
 // createSession is POST /v1/sessions. With an Idempotency-Key header the
 // create is exactly-once per key: a concurrent or later retry of the same
 // key waits for (or replays) the first attempt's session instead of
@@ -646,25 +591,24 @@ func (a *API) createSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for {
-		e, owner := a.idemClaim(key)
+		e, owner := a.idem.Claim(key)
 		if owner {
 			id, ok := a.doCreateSession(w, r)
-			a.idemResolve(key, id, ok)
+			a.idem.Resolve(e, id, ok)
 			return
 		}
-		select {
-		case <-e.done:
-		case <-r.Context().Done():
-			writeErr(w, http.StatusServiceUnavailable, r.Context().Err())
+		id, ok, err := a.idem.Wait(r.Context(), e)
+		if err != nil {
+			writeErr(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		if e.id != "" {
-			if s, ok := a.m.Get(e.id); ok {
+		if ok {
+			if s, found := a.m.Get(id); found {
 				writeJSON(w, http.StatusCreated, sessionInfo(s))
 				return
 			}
 			writeErr(w, http.StatusConflict,
-				fmt.Errorf("idempotency key replay: session %s no longer exists", e.id))
+				fmt.Errorf("idempotency key replay: session %s no longer exists", id))
 			return
 		}
 		// The first attempt failed and was forgotten; this retry executes.

@@ -260,3 +260,27 @@ func TestAPIStopWithDrain(t *testing.T) {
 	doJSON(t, "POST", srv.URL+"/v1/sessions/"+created.ID+"/stop?drain=banana", nil,
 		http.StatusBadRequest, nil)
 }
+
+// TestHandlerRequestAllocs caps the allocations of one GET /v1/health
+// through the hardened handler (metrics on, so the obs routes are
+// mounted). The route table is built once per Handler; rebuilding it per
+// request costs hundreds of allocations and would trip this ceiling.
+func TestHandlerRequestAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := NewManager(Options{Metrics: reg, Granularity: time.Millisecond})
+	defer m.Close()
+	h := NewAPI(m, reg, obs.NewRingTracer(128)).Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/health", nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/health = %d: %s", rec.Code, rec.Body)
+		}
+	})
+	t.Logf("GET /v1/health: %.0f allocs/request", allocs)
+	const ceiling = 32
+	if allocs > ceiling {
+		t.Fatalf("GET /v1/health allocates %.0f times per request, ceiling %d", allocs, ceiling)
+	}
+}

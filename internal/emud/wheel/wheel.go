@@ -16,6 +16,13 @@
 // callback scheduled through the handle. Stop is a barrier — once it
 // returns, no callback of that handle is running or will ever run — which
 // is what makes engine teardown safe while packets are in flight.
+//
+// A stopped owner's entries are released, not held until due: Stop counts
+// them dead on their shards, and a shard whose heap is more than half dead
+// (and holds more than 64 dead entries) is compacted in place, the rule
+// sim.Scheduler uses. A deleted session's engine, which its far-off
+// advance timer would otherwise pin for up to a tuple length, becomes
+// garbage after a bounded number of further Stops on that shard.
 package wheel
 
 import (
@@ -124,7 +131,7 @@ func New(o Options) *Wheel {
 		o.Metrics.Gauge("tracemod_wheel_shards", "Scheduling shards (goroutines) in the wheel.").Set(int64(o.Shards))
 	}
 	for i := 0; i < o.Shards; i++ {
-		s := &shard{wake: make(chan struct{}, 1), quit: make(chan struct{})}
+		s := &shard{idx: i, wake: make(chan struct{}, 1), quit: make(chan struct{})}
 		w.shards = append(w.shards, s)
 		w.wg.Add(1)
 		go w.run(s)
@@ -176,7 +183,7 @@ func (w *Wheel) AfterFunc(d time.Duration, fn func()) { w.schedule(nil, d, fn) }
 
 // Timers returns a cancellation scope: a modulation.Clock whose pending
 // callbacks can all be revoked at once with Stop.
-func (w *Wheel) Timers() *Timers { return &Timers{w: w} }
+func (w *Wheel) Timers() *Timers { return &Timers{w: w, pend: make([]int32, len(w.shards))} }
 
 // Close stops every shard goroutine. Pending timers are discarded; Close
 // does not wait for in-flight callbacks beyond each shard's current
@@ -203,6 +210,9 @@ type Timers struct {
 	// their own handle (sessions stop from the control plane or the
 	// manager's janitor goroutine, never from inside a delivery).
 	barrier sync.RWMutex
+	// pend[i] counts this handle's entries in shard i's heap that are not
+	// yet counted in that shard's dead total; guarded by shard i's mu.
+	pend []int32
 }
 
 // Now implements modulation.Clock.
@@ -220,14 +230,28 @@ func (t *Timers) AfterFunc(d time.Duration, fn func()) {
 func (t *Timers) Stopped() bool { return t.stopped.Load() }
 
 // Stop revokes every callback scheduled through the handle. When Stop
-// returns, no callback is running and none will ever run; entries already
-// in a shard heap are discarded when they come due.
+// returns, no callback is running and none will ever run. The handle's
+// entries still in shard heaps are counted dead there and released by
+// compaction once dead entries dominate a shard (or when they come due,
+// if that is sooner), so a stopped owner is not pinned until its latest
+// deadline.
 func (t *Timers) Stop() {
 	t.stopped.Store(true)
 	t.barrier.Lock()
 	//lint:ignore SA2001 the empty critical section is the point: taking the
 	// write lock waits out every dispatch holding the read lock.
 	t.barrier.Unlock()
+	for i, s := range t.w.shards {
+		s.mu.Lock()
+		if n := t.pend[i]; n > 0 {
+			t.pend[i] = 0
+			s.dead += int(n)
+			if s.dead > 64 && s.dead > len(s.h)/2 {
+				t.w.compact(s)
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // entry is one scheduled callback.
@@ -239,9 +263,11 @@ type entry struct {
 }
 
 type shard struct {
+	idx  int
 	mu   sync.Mutex
 	h    entryHeap
 	seq  uint64
+	dead int // entries of stopped owners still in h
 	wake chan struct{}
 	quit chan struct{}
 	due  []entry // dispatch scratch, reused across wakeups
@@ -262,6 +288,9 @@ func (w *Wheel) schedule(owner *Timers, d time.Duration, fn func()) {
 	s.seq++
 	earliest := s.h.Len() == 0 || at < s.h[0].at
 	heap.Push(&s.h, entry{at: at, seq: s.seq, fn: fn, owner: owner})
+	if owner != nil {
+		owner.pend[s.idx]++
+	}
 	s.mu.Unlock()
 	w.pending.Add(1)
 	w.scheduled.Inc()
@@ -291,7 +320,9 @@ func (w *Wheel) run(s *shard) {
 		s.mu.Lock()
 		s.due = s.due[:0]
 		for s.h.Len() > 0 && s.h[0].at <= now {
-			s.due = append(s.due, heap.Pop(&s.h).(entry))
+			e := heap.Pop(&s.h).(entry)
+			s.forget(e.owner)
+			s.due = append(s.due, e)
 		}
 		wait := time.Duration(-1)
 		if s.h.Len() > 0 {
@@ -349,6 +380,40 @@ func (w *Wheel) run(s *shard) {
 			return
 		}
 	}
+}
+
+// forget accounts for one entry of owner leaving the heap (s.mu held):
+// it was counted either in the owner's pend or, once the owner stopped,
+// in the shard's dead total.
+func (s *shard) forget(owner *Timers) {
+	if owner == nil {
+		return
+	}
+	if owner.pend[s.idx] > 0 {
+		owner.pend[s.idx]--
+	} else {
+		s.dead--
+	}
+}
+
+// compact drops every stopped owner's entries from the shard's heap and
+// re-heapifies it in place (s.mu held). The dropped callbacks count as
+// suppressed, exactly as if they had come due after Stop.
+func (w *Wheel) compact(s *shard) {
+	live := s.h[:0]
+	for _, e := range s.h {
+		if e.owner != nil && e.owner.stopped.Load() {
+			s.forget(e.owner)
+			continue
+		}
+		live = append(live, e)
+	}
+	removed := len(s.h) - len(live)
+	clear(s.h[len(live):])
+	s.h = live
+	heap.Init(&s.h)
+	w.pending.Add(int64(-removed))
+	w.suppressed.Add(int64(removed))
 }
 
 // run dispatches the entry, honouring its owner's Stop barrier and

@@ -196,3 +196,94 @@ func TestMetrics(t *testing.T) {
 		t.Fatalf("suppressed = %d, want 1", w.suppressed.Load())
 	}
 }
+
+// armFinalized schedules a far-off callback on tm that captures a fresh
+// object, and returns a channel closed once that object is collected.
+func armFinalized(tm *Timers) <-chan struct{} {
+	freed := make(chan struct{})
+	obj := new([64]byte)
+	runtime.SetFinalizer(obj, func(*[64]byte) { close(freed) })
+	tm.AfterFunc(time.Hour, func() { obj[0]++ })
+	return freed
+}
+
+// TestStopReleasesPendingEntries: a stopped owner's entries leave the
+// heap at Stop once they dominate their shard, so Pending falls and what
+// their callbacks captured is collectable long before the deadline.
+func TestStopReleasesPendingEntries(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := New(Options{Shards: 1, Metrics: reg})
+	defer w.Close()
+	tm := w.Timers()
+	freed := armFinalized(tm)
+	for i := 0; i < 199; i++ {
+		tm.AfterFunc(time.Hour, func() {})
+	}
+	if p := w.Pending(); p != 200 {
+		t.Fatalf("pending = %d before Stop, want 200", p)
+	}
+	tm.Stop()
+	if p := w.Pending(); p != 0 {
+		t.Fatalf("pending = %d after Stop, want 0", p)
+	}
+	if n := w.suppressed.Load(); n != 200 {
+		t.Fatalf("suppressed = %d, want 200 released entries", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a stopped owner's callback is still reachable an hour before its deadline")
+		}
+	}
+}
+
+// TestStopCompactionKeepsLiveOwners: many owners with one far-off entry
+// each (a deleted session's advance timer) are reaped in bounded batches,
+// and a live owner's entries survive every compaction and fire in order.
+func TestStopCompactionKeepsLiveOwners(t *testing.T) {
+	const shards, owners = 2, 400
+	w := New(Options{Shards: shards})
+	defer w.Close()
+	live := w.Timers()
+	var order []int
+	var mu sync.Mutex
+	done := make(chan struct{})
+	for i := 0; i < 3; i++ {
+		live.AfterFunc(time.Duration(300+i*20)*time.Millisecond, func() {
+			mu.Lock()
+			order = append(order, i)
+			if len(order) == 3 {
+				close(done)
+			}
+			mu.Unlock()
+		})
+	}
+	for i := 0; i < owners; i++ {
+		tm := w.Timers()
+		tm.AfterFunc(time.Hour, func() {})
+		tm.Stop()
+	}
+	// Each shard compacts whenever more than 64 of its entries are dead
+	// and they outnumber the live ones, so at most 64 stay per shard.
+	if p := w.Pending(); p > shards*64+3 {
+		t.Fatalf("pending = %d after stopping %d owners, want <= %d", p, owners, shards*64+3)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a live owner's timers did not fire after compaction")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("live callbacks fired in order %v", order)
+		}
+	}
+}

@@ -38,10 +38,10 @@ func main() {
 	// every `go test` invocation, so the committed corpus rides in the
 	// race/chaos matrix for free.
 	corpus(filepath.Join(td, "fuzz/FuzzReader"), map[string][]byte{
-		"valid":    validTrace(),
-		"bitflip":  bitflip,
+		"valid":     validTrace(),
+		"bitflip":   bitflip,
 		"truncated": truncated,
-		"flood":    flood,
+		"flood":     flood,
 	})
 	corpus(filepath.Join(root, "internal/distill/testdata/fuzz/FuzzDistill"), map[string][]byte{
 		"workload": workloadTrace(),
@@ -172,7 +172,7 @@ func unknownFloodTrace() []byte {
 func validTrace() []byte {
 	var buf bytes.Buffer
 	tr := &tracefmt.Trace{
-		Header: tracefmt.Header{Device: "wavelan0", Start: 1000, Comment: "seed"},
+		Header:  tracefmt.Header{Device: "wavelan0", Start: 1000, Comment: "seed"},
 		Packets: []tracefmt.PacketRecord{packetAt(0), packetAt(1)},
 		Devices: []tracefmt.DeviceRecord{{At: 5, Signal: 18, Quality: 9, Silence: 3}},
 		Lost:    []tracefmt.LostRecord{{At: 9, Count: 2, Of: tracefmt.RecPacket}},
