@@ -28,8 +28,11 @@ type ioMessage struct {
 //
 // ReadBatch blocks until at least one datagram is available, then fills
 // as many slots as the socket can supply without blocking again and
-// returns the count. WriteBatch sends the messages in order and returns
-// how many were sent; a non-nil error refers to the first unsent message.
+// returns the count. It gives an empty slot (nil buf) a pooled buffer
+// only when it may fill it, so a reader parked on an idle socket pins at
+// most the one buffer genericConn reads into. WriteBatch sends the
+// messages in order and returns how many were sent; a non-nil error
+// refers to the first unsent message.
 // ReadBatch must only be called from the socket's single reader (its pump
 // goroutine or its owning shard); WriteBatch is safe to call concurrently.
 type batchConn interface {
@@ -51,6 +54,9 @@ func (g *genericConn) ReadBatch(ms []ioMessage) (int, error) {
 		return 0, nil
 	}
 	m := &ms[0]
+	if m.buf == nil {
+		m.buf = getBuf()
+	}
 	if g.connected {
 		n, err := g.c.Read(*m.buf)
 		if err != nil {

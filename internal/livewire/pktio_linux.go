@@ -35,9 +35,10 @@ type mmsghdr struct {
 // the blocking behaviour: returning false from a Read callback parks the
 // goroutine on the netpoller until the socket is readable.
 //
-// Read scratch (rhdrs/riovs/rnames) is confined to the socket's single
-// reader. Write scratch has its own lock because burst flushes and direct
-// sends (delayed deliveries firing off the timer wheel) may overlap.
+// Read scratch (rhdrs/riovs/rnames) and the read callback's arguments
+// and results (rms..rerr) are confined to the socket's single reader.
+// Write scratch has its own lock because burst flushes and direct sends
+// (delayed deliveries firing off the timer wheel) may overlap.
 type mmsgConn struct {
 	c         *net.UDPConn
 	raw       syscall.RawConn
@@ -46,6 +47,11 @@ type mmsgConn struct {
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
 	rnames []syscall.RawSockaddrAny
+	recv   func(fd uintptr) bool // m.recvmmsg, bound once per conn
+	rms    []ioMessage
+	rblock bool
+	rgot   int
+	rerr   error
 
 	wmu    sync.Mutex
 	whdrs  []mmsghdr
@@ -58,7 +64,9 @@ func newFastConn(c *net.UDPConn, connected bool) (batchConn, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return &mmsgConn{c: c, raw: raw, connected: connected}, true
+	m := &mmsgConn{c: c, raw: raw, connected: connected}
+	m.recv = m.recvmmsg
+	return m, true
 }
 
 // ReadBatch implements batchConn (blocking).
@@ -79,8 +87,40 @@ func (m *mmsgConn) readBatch(ms []ioMessage, block bool) (int, error) {
 		m.riovs = make([]syscall.Iovec, n)
 		m.rnames = make([]syscall.RawSockaddrAny, n)
 	}
+	m.rms, m.rblock, m.rgot, m.rerr = ms, block, 0, nil
+	err := m.raw.Read(m.recv)
+	got, serr := m.rgot, m.rerr
+	m.rms, m.rerr = nil, nil
+	clear(m.riovs[:n]) // the scratch must not keep handed-off buffers alive
+	if err != nil {
+		return 0, err
+	}
+	if serr != nil {
+		return 0, serr
+	}
+	names := m.rnames[:n]
+	for i := 0; i < got; i++ {
+		ms[i].n = int(m.rhdrs[i].cnt)
+		if m.connected {
+			ms[i].addr = nil
+		} else {
+			ms[i].addr = sockaddrToUDP(&names[i])
+		}
+	}
+	return got, nil
+}
+
+// recvmmsg is readBatch's RawConn.Read callback. Empty slots take a
+// pooled buffer just before the syscall, and a blocking reader hands
+// every buffer back before it parks: a pump on an idle socket pins none.
+func (m *mmsgConn) recvmmsg(fd uintptr) bool {
+	ms := m.rms
+	n := len(ms)
 	hdrs, iovs, names := m.rhdrs[:n], m.riovs[:n], m.rnames[:n]
 	for i := 0; i < n; i++ {
+		if ms[i].buf == nil {
+			ms[i].buf = getBuf()
+		}
 		iovs[i].Base = &(*ms[i].buf)[0]
 		iovs[i].Len = uint64(len(*ms[i].buf))
 		h := &hdrs[i]
@@ -92,43 +132,24 @@ func (m *mmsgConn) readBatch(ms []ioMessage, block bool) (int, error) {
 			h.hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
 		}
 	}
-	var got int
-	var serr error
-	err := m.raw.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&hdrs[0])), uintptr(n),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		switch errno {
-		case 0:
-			got = int(r1)
-			return true
-		case syscall.EAGAIN, syscall.EINTR:
-			if block {
-				return false // park on the netpoller until readable
-			}
-			got = 0
-			return true
-		default:
-			serr = os.NewSyscallError("recvmmsg", errno)
-			return true
+	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&hdrs[0])), uintptr(n),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	switch errno {
+	case 0:
+		m.rgot = int(r1)
+		return true
+	case syscall.EAGAIN, syscall.EINTR:
+		if m.rblock {
+			releaseSlots(ms)
+			clear(iovs)
+			return false // park on the netpoller until readable
 		}
-	})
-	runtime.KeepAlive(ms)
-	if err != nil {
-		return 0, err
+		return true
+	default:
+		m.rerr = os.NewSyscallError("recvmmsg", errno)
+		return true
 	}
-	if serr != nil {
-		return 0, serr
-	}
-	for i := 0; i < got; i++ {
-		ms[i].n = int(hdrs[i].cnt)
-		if m.connected {
-			ms[i].addr = nil
-		} else {
-			ms[i].addr = sockaddrToUDP(&names[i])
-		}
-	}
-	return got, nil
 }
 
 // WriteBatch implements batchConn. Partial sends without error retry the
@@ -146,6 +167,7 @@ func (m *mmsgConn) WriteBatch(ms []ioMessage) (int, error) {
 		m.wnames = make([]syscall.RawSockaddrAny, n)
 	}
 	hdrs, iovs, names := m.whdrs[:n], m.wiovs[:n], m.wnames[:n]
+	defer clear(iovs) // sent buffers return to the pool, not to this scratch
 	for i := 0; i < n; i++ {
 		iovs[i].Base = &(*ms[i].buf)[0]
 		iovs[i].Len = uint64(ms[i].n)

@@ -53,8 +53,7 @@ type PumpGroup struct {
 	failed atomic.Bool // shard startup failed: fall back for good
 
 	// Shards start lazily on the first relay attach: an idle group costs
-	// nothing — no epoll instances, no event-loop goroutines blocked in
-	// raw syscalls stealing scheduler attention from relay-less farms.
+	// nothing — no epoll instances and no event-loop goroutines.
 	startMu sync.Mutex
 	started bool
 	shards  []*pumpShard
@@ -73,7 +72,6 @@ func NewPumpGroup(cfg PumpGroupConfig) *PumpGroup {
 	if g.batch <= 0 {
 		g.batch = DefaultBatch
 	}
-	g.nextID.Store(1) // id 0 is the shards' wake token
 	g.ins = newPumpInstruments(cfg.Metrics)
 	if cfg.Shards >= 0 && batchIOSupported {
 		g.want = cfg.Shards
@@ -505,11 +503,6 @@ func (r *Relay) pump(dir simnet.Direction) {
 	ms := make([]ioMessage, r.batch)
 	streak := 0
 	for {
-		for i := range ms {
-			if ms[i].buf == nil {
-				ms[i].buf = getBuf()
-			}
-		}
 		n, err := io.ReadBatch(ms)
 		if err != nil {
 			if r.recoverPump(&streak, err) {

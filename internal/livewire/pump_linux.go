@@ -1,21 +1,26 @@
 //go:build linux && (amd64 || arm64)
 
-// PumpGroup shards: each shard is one goroutine around its own epoll set
-// (separate from the runtime netpoller — a socket may sit in both). The
-// shard loop is strictly run-to-completion: ready socket → nonblocking
-// recvmmsg → SubmitBatch → coalesced write flush, then the next ready
-// socket. Both of a relay's sockets register with the same shard, so a
-// session's packets never migrate between loops and need no cross-shard
-// synchronization.
+// PumpGroup shards: each shard is one goroutine around its own epoll set.
+// The shard loop is strictly run-to-completion: ready socket →
+// nonblocking recvmmsg → SubmitBatch → coalesced write flush, then the
+// next ready socket. Both of a relay's sockets register with the same
+// shard, so a session's packets never migrate between loops and need no
+// cross-shard synchronization. The epoll fd itself is non-blocking and
+// registered with the runtime netpoller (epoll sets nest), so an idle
+// shard parks in IO wait like any socket reader: it never holds an OS
+// thread and its P in a blocking epoll_wait, where due timers and
+// netpoll-ready goroutines would wait for sysmon to retake the P.
 
 package livewire
 
 import (
 	"errors"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"syscall"
+	"time"
 
 	"tracemod/internal/simnet"
 )
@@ -26,14 +31,10 @@ import (
 // remains.
 const shardDrainRounds = 4
 
-// wakeID is the epoll token reserved for a shard's wake pipe.
-const wakeID = 0
-
 type pumpShard struct {
-	g     *PumpGroup
-	epfd  int
-	wakeR int
-	wakeW int
+	g  *PumpGroup
+	ep *os.File        // the shard's epoll set, parked on the netpoller
+	rc syscall.RawConn // ep's fd, pinned for the length of each callback
 
 	mu   sync.Mutex
 	ends map[uint64]*pumpEnd
@@ -73,21 +74,25 @@ func newShard(g *PumpGroup) (*pumpShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	if err := syscall.SetNonblock(epfd, true); err != nil {
 		syscall.Close(epfd)
 		return nil, err
 	}
+	ep := os.NewFile(uintptr(epfd), "livewire-pump-epoll")
+	rc, err := ep.SyscallConn()
+	// A deadline is settable only on a netpoller-registered file: this
+	// rejects a shard that would otherwise fail on its first wait.
+	if err == nil {
+		err = ep.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		ep.Close()
+		return nil, err
+	}
 	sh := &pumpShard{
-		g: g, epfd: epfd, wakeR: p[0], wakeW: p[1],
+		g: g, ep: ep, rc: rc,
 		ends: make(map[uint64]*pumpEnd),
 		done: make(chan struct{}),
-	}
-	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN)}
-	setEventID(&ev, wakeID)
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, sh.wakeR, &ev); err != nil {
-		sh.closeFDs()
-		return nil, err
 	}
 	go sh.loop()
 	return sh, nil
@@ -128,19 +133,32 @@ func (g *PumpGroup) attachShards(r *Relay) bool {
 	return true
 }
 
+// epollCtl applies one epoll_ctl for pe's socket. Both descriptors are
+// pinned by their RawConn for the call, so a closed group or socket
+// yields an error rather than touching a reused fd number.
+func (sh *pumpShard) epollCtl(op int, pe *pumpEnd) error {
+	var ctlErr error
+	err := sh.rc.Control(func(epfd uintptr) {
+		err := pe.io.raw.Control(func(fd uintptr) {
+			ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN)}
+			setEventID(&ev, pe.id)
+			ctlErr = syscall.EpollCtl(int(epfd), op, int(fd), &ev)
+		})
+		if ctlErr == nil {
+			ctlErr = err
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return ctlErr
+}
+
 func (sh *pumpShard) register(pe *pumpEnd) error {
 	sh.mu.Lock()
 	sh.ends[pe.id] = pe
 	sh.mu.Unlock()
-	var ctlErr error
-	err := pe.io.raw.Control(func(fd uintptr) {
-		ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN)}
-		setEventID(&ev, pe.id)
-		ctlErr = syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_ADD, int(fd), &ev)
-	})
-	if err == nil {
-		err = ctlErr
-	}
+	err := sh.epollCtl(syscall.EPOLL_CTL_ADD, pe)
 	if err != nil {
 		sh.mu.Lock()
 		delete(sh.ends, pe.id)
@@ -156,9 +174,7 @@ func (sh *pumpShard) unregister(pe *pumpEnd) {
 	sh.mu.Lock()
 	delete(sh.ends, pe.id)
 	sh.mu.Unlock()
-	pe.io.raw.Control(func(fd uintptr) {
-		syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_DEL, int(fd), nil)
-	})
+	sh.epollCtl(syscall.EPOLL_CTL_DEL, pe)
 }
 
 func (sh *pumpShard) loop() {
@@ -166,22 +182,27 @@ func (sh *pumpShard) loop() {
 	events := make([]syscall.EpollEvent, 128)
 	ms := make([]ioMessage, sh.g.batch)
 	defer releaseSlots(ms)
-	for {
-		n, err := syscall.EpollWait(sh.epfd, events, -1)
-		if err != nil {
-			if err == syscall.EINTR {
-				continue
+	// The wait callback is built once: a zero-timeout epoll_wait that
+	// parks the goroutine on the netpoller (return false) only when the
+	// set has nothing ready.
+	var n int
+	var werr error
+	wait := func(fd uintptr) bool {
+		for {
+			n, werr = syscall.EpollWait(int(fd), events, 0)
+			if werr != syscall.EINTR {
+				return n > 0 || werr != nil
 			}
+		}
+	}
+	for {
+		// Read fails only once close has closed ep ("use of closed
+		// file"), which also wakes a parked wait.
+		if err := sh.rc.Read(wait); err != nil || werr != nil {
 			return
 		}
 		for i := 0; i < n; i++ {
 			id := eventID(&events[i])
-			if id == wakeID {
-				if sh.drainWake() {
-					return
-				}
-				continue
-			}
 			sh.mu.Lock()
 			pe := sh.ends[id]
 			sh.mu.Unlock()
@@ -192,28 +213,10 @@ func (sh *pumpShard) loop() {
 	}
 }
 
-// drainWake empties the wake pipe and reports whether the group is
-// closing.
-func (sh *pumpShard) drainWake() bool {
-	var buf [64]byte
-	for {
-		n, err := syscall.Read(sh.wakeR, buf[:])
-		if n <= 0 || err != nil {
-			break
-		}
-	}
-	return sh.g.closing.Load()
-}
-
 // service drains one ready socket run-to-completion, up to the round
 // budget.
 func (sh *pumpShard) service(pe *pumpEnd, ms []ioMessage) {
 	for round := 0; round < shardDrainRounds; round++ {
-		for i := range ms {
-			if ms[i].buf == nil {
-				ms[i].buf = getBuf()
-			}
-		}
 		n, err := pe.io.readBatch(ms, false)
 		if err != nil {
 			// Reading consumed the pending socket error (e.g. an ICMP
@@ -238,13 +241,6 @@ func (sh *pumpShard) service(pe *pumpEnd, ms []ioMessage) {
 }
 
 func (sh *pumpShard) close() {
-	syscall.Write(sh.wakeW, []byte{1})
+	sh.ep.Close()
 	<-sh.done
-	sh.closeFDs()
-}
-
-func (sh *pumpShard) closeFDs() {
-	syscall.Close(sh.epfd)
-	syscall.Close(sh.wakeR)
-	syscall.Close(sh.wakeW)
 }

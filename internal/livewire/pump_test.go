@@ -180,6 +180,57 @@ func TestShardedGoroutinesFlat(t *testing.T) {
 	}
 }
 
+// TestIdleGrouplessRelaysPinNoReadBuffers checks that a relay running
+// its own pump goroutines (no PumpGroup) holds no read batch while its
+// sockets are idle: 64 relays × 2 sockets × DefaultBatch × 64 KiB would
+// pin 256 MiB if each parked pump kept a full batch of pooled buffers.
+func TestIdleGrouplessRelaysPinNoReadBuffers(t *testing.T) {
+	target := echoServer(t)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees the sync.Pool victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	relays := make([]*Relay, 64)
+	for i := range relays {
+		r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(),
+			instantSubmitter{}, RelayOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if r.Sharded() {
+			t.Fatal("relay without a group must run its own pumps")
+		}
+		relays[i] = r
+	}
+	for _, r := range relays {
+		burstEcho(t, r, 8, 8)
+	}
+	// The last pump to write an echo may not have parked yet; poll.
+	const limit = 16 << 20
+	var grew uint64
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if after := heap(); after > before {
+			grew = after - before
+		} else {
+			grew = 0
+		}
+		if grew < limit || time.Now().After(deadline) {
+			break
+		}
+		runtime.Gosched()
+	}
+	t.Logf("64 idle group-less relays: HeapAlloc grew %d KiB", grew>>10)
+	if grew >= limit {
+		t.Fatalf("64 idle group-less relays grew HeapAlloc by %d MiB, want < %d MiB",
+			grew>>20, limit>>20)
+	}
+}
+
 // TestRelayCloseMidBurst races Relay.Close (and then group Close)
 // against a client blasting packets: no panic, no deadlock, no send
 // after close. Run with -race.
