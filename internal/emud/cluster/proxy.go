@@ -11,6 +11,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -196,16 +197,16 @@ func (c *Coordinator) idemKey(r *http.Request) (key string, minted bool) {
 	return fmt.Sprintf("coord-%d-%d", time.Now().UnixNano(), c.idemSeq.Add(1)), true
 }
 
-// createPlaced handles a placement-keyed, idempotent create: place the
-// key on the ring, single-flight it, forward with the key attached, and
-// record the placement via record() on success. A client key's 2xx
-// response replays for idem.TTL; a minted key is forwarded without
-// touching the table.
-func (c *Coordinator) createPlaced(w http.ResponseWriter, r *http.Request, record func(body []byte, workerName string)) {
+// createPlaced handles a placement-keyed, idempotent create: place it
+// (on the named stream's worker, or by key on the ring), single-flight
+// the key, forward with the key attached, and record the placement via
+// record() on success. A client key's 2xx response replays for idem.TTL;
+// a minted key is forwarded without touching the table.
+func (c *Coordinator) createPlaced(w http.ResponseWriter, r *http.Request, stream string, record func(body []byte, workerName string)) {
 	key, minted := c.idemKey(r)
 	r.Header.Set("Idempotency-Key", key)
 	if minted {
-		if f := c.forwardCreate(w, r, key, record); f != nil {
+		if f := c.forwardCreate(w, r, key, stream, record); f != nil {
 			f.write(w)
 		}
 		return
@@ -213,7 +214,7 @@ func (c *Coordinator) createPlaced(w http.ResponseWriter, r *http.Request, recor
 	for {
 		e, owner := c.idem.Claim(key)
 		if owner {
-			f := c.forwardCreate(w, r, key, record)
+			f := c.forwardCreate(w, r, key, stream, record)
 			var rp createReply
 			ok := f != nil && f.status >= 200 && f.status < 300
 			if ok {
@@ -249,12 +250,28 @@ func (c *Coordinator) createPlaced(w http.ResponseWriter, r *http.Request, recor
 	}
 }
 
-// forwardCreate places key on the ring and forwards the create, recording
-// a 2xx's placement. When no worker answers it writes the error response
-// itself and returns nil.
-func (c *Coordinator) forwardCreate(w http.ResponseWriter, r *http.Request, key string, record func(body []byte, workerName string)) *forwarded {
-	target, ok := c.ring.Get(key)
-	if !ok {
+// errUnknownStream is the 404 for a create naming a stream no worker
+// holds.
+var errUnknownStream = errors.New("stream not found on any worker")
+
+// forwardCreate places the create — on stream's worker when stream is
+// set, otherwise by key on the ring — and forwards it, recording a 2xx's
+// placement. When it cannot be placed or no worker answers it writes the
+// error response itself and returns nil.
+func (c *Coordinator) forwardCreate(w http.ResponseWriter, r *http.Request, key, stream string, record func(body []byte, workerName string)) *forwarded {
+	var target string
+	if stream != "" {
+		c.mu.Lock()
+		owner, ok := c.streamPlace[stream]
+		c.mu.Unlock()
+		if !ok {
+			writeErr(w, http.StatusNotFound, fmt.Errorf("%w: %q", errUnknownStream, stream))
+			return nil
+		}
+		target = owner
+	} else if owner, ok := c.ring.Get(key); ok {
+		target = owner
+	} else {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("no alive workers"))
 		return nil
 	}
@@ -269,8 +286,22 @@ func (c *Coordinator) forwardCreate(w http.ResponseWriter, r *http.Request, key 
 	return f
 }
 
+// handleCreateSession places a stream-fed session on its stream's
+// worker, where the live trace it modulates against exists; every other
+// session is placed by its idempotency key.
 func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	c.createPlaced(w, r, func(body []byte, workerName string) {
+	body, err := readBody(r.Body, r.ContentLength, proxyMaxBody)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	// A malformed body is the worker's to reject; it places by key.
+	var src struct {
+		Stream string `json:"stream"`
+	}
+	_ = json.Unmarshal(body, &src)
+	c.createPlaced(w, r, src.Stream, func(body []byte, workerName string) {
 		var si emud.SessionInfo
 		if json.Unmarshal(body, &si) == nil && si.ID != "" {
 			c.mu.Lock()
@@ -282,7 +313,7 @@ func (c *Coordinator) handleCreateSession(w http.ResponseWriter, r *http.Request
 
 func (c *Coordinator) handleCreateStream(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
-	c.createPlaced(w, r, func(_ []byte, workerName string) {
+	c.createPlaced(w, r, "", func(_ []byte, workerName string) {
 		if name != "" {
 			c.mu.Lock()
 			c.streamPlace[name] = workerName

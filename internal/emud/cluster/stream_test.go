@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,5 +146,63 @@ func TestResumableUploadThroughCoordinator(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("upload resumed through the coordinator diverges from batch distill")
+	}
+}
+
+// TestStreamFedSessionsLandOnTheirStream creates stream-fed sessions
+// through the coordinator under random idempotency keys: every one must be
+// placed on the worker holding its stream (placing by key would strand
+// about half of them on a worker without it), a replayed key must return
+// the same session, and a create naming no known stream is a 404.
+func TestStreamFedSessionsLandOnTheirStream(t *testing.T) {
+	w1 := newTestWorker(t, "w1")
+	w2 := newTestWorker(t, "w2")
+	c, srv := newTestCluster(t, w1, w2)
+	res, err := http.Post(srv.URL+"/v1/streams?name=feed", "application/octet-stream",
+		bytes.NewReader(collectedTrace(t, 30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusCreated {
+		t.Fatalf("stream create = %d", res.StatusCode)
+	}
+	c.mu.Lock()
+	owner := c.streamPlace["feed"]
+	c.mu.Unlock()
+	if owner == "" {
+		t.Fatal("stream placement not recorded")
+	}
+
+	rng := rand.New(rand.NewSource(23))
+	const n = 16
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key-%016x", rng.Uint64())
+		req := emud.SessionRequest{Name: fmt.Sprintf("fed-%d", i), Stream: "feed", Seed: int64(i)}
+		hdr := map[string]string{"Idempotency-Key": key}
+		res, raw := postJSON(t, srv.URL+"/v1/sessions", req, hdr)
+		if res.StatusCode != http.StatusCreated {
+			t.Fatalf("create %d (key %s) = %d: %s", i, key, res.StatusCode, raw)
+		}
+		var si emud.SessionInfo
+		if err := json.Unmarshal(raw, &si); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(si.ID, owner+"-") || !si.Live || si.TraceRef != "stream:feed" {
+			t.Fatalf("session %+v not attached to stream feed on %s", si, owner)
+		}
+		res, again := postJSON(t, srv.URL+"/v1/sessions", req, hdr)
+		if res.StatusCode != http.StatusCreated || !bytes.Equal(again, raw) {
+			t.Fatalf("replayed key %s = %d: %s, want %s", key, res.StatusCode, again, raw)
+		}
+	}
+	if got := map[string]int{"w1": w1.m.Count(), "w2": w2.m.Count()}; got[owner] != n || w1.m.Count()+w2.m.Count() != n {
+		t.Fatalf("sessions per worker %v, want all %d on %s", got, n, owner)
+	}
+
+	res, raw := postJSON(t, srv.URL+"/v1/sessions",
+		emud.SessionRequest{Stream: "nope"}, map[string]string{"Idempotency-Key": "k-nope"})
+	if res.StatusCode != http.StatusNotFound || !strings.Contains(string(raw), errUnknownStream.Error()) {
+		t.Fatalf("create on unknown stream = %d: %s", res.StatusCode, raw)
 	}
 }

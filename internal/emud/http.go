@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"tracemod/internal/core"
@@ -869,6 +870,14 @@ func (a *API) pauseIngest() *BrownoutError {
 	return nil
 }
 
+// uploadBufPool recycles the read buffer createStream and resumeStream
+// consume an upload body through; the stream copies what it keeps, so a
+// buffer is free again once its handler returns.
+var uploadBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 64<<10)
+	return &b
+}}
+
 // createStream is POST /v1/streams?name=N: a chunked collected-trace
 // upload consumed through the streaming distiller. The stream (and its
 // growing replay trace) is registered before the first byte is read, so
@@ -916,7 +925,9 @@ func (a *API) createStream(w http.ResponseWriter, r *http.Request) {
 	// forward each time: the request lives as long as the collector keeps
 	// sending, however slowly, without ever disabling timeouts outright.
 	rc := http.NewResponseController(w)
-	buf := make([]byte, 64<<10)
+	bp := uploadBufPool.Get().(*[]byte)
+	defer uploadBufPool.Put(bp)
+	buf := *bp
 	for {
 		if be := a.pauseIngest(); be != nil {
 			if !cfg.Resumable {
@@ -1014,7 +1025,9 @@ func (a *API) resumeStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer st.releaseUpload()
 	rc := http.NewResponseController(w)
-	buf := make([]byte, 64<<10)
+	bp := uploadBufPool.Get().(*[]byte)
+	defer uploadBufPool.Put(bp)
+	buf := *bp
 	for {
 		if be := a.pauseIngest(); be != nil {
 			writeStreamErr(w, http.StatusTooManyRequests, be)

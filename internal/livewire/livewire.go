@@ -59,20 +59,55 @@ func (c *RealClock) AfterFunc(d time.Duration, fn func()) { c.w.AfterFunc(d, fn)
 // callbacks. A relay that owns its clock closes it on Close.
 func (c *RealClock) Close() { c.w.Close() }
 
-// bufPool recycles datagram buffers across relays and packets: each
-// in-flight packet holds one max-datagram buffer from read until delivery
-// or drop, instead of a fresh make([]byte, n) copy per datagram. The pool
-// is shared by every relay in the process (emud runs many).
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, maxDatagram)
-	return &b
-}}
+// Datagram buffers come in two size classes, each with its own pool
+// shared by every relay in the process (emud runs many). An in-flight
+// packet holds one buffer of its class from read until delivery or drop,
+// so a packet held for its trace delay pins about its own size, not the
+// largest datagram the socket could have carried.
+const (
+	// smallDatagram is the small class: every datagram up to 2 KiB,
+	// which covers anything that fits an Ethernet-sized MTU.
+	smallDatagram = 2 * 1024
+	// maxDatagram is the large class and the largest UDP payload a relay
+	// accepts (the IPv4 limit).
+	maxDatagram = 64 * 1024
+)
 
-// maxDatagram is the largest UDP payload a relay accepts (the IPv4 limit).
-const maxDatagram = 64 * 1024
+var (
+	smallPool = sync.Pool{New: func() any {
+		b := make([]byte, smallDatagram)
+		return &b
+	}}
+	largePool = sync.Pool{New: func() any {
+		b := make([]byte, maxDatagram)
+		return &b
+	}}
+)
 
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(b *[]byte) { bufPool.Put(b) }
+// getBuf returns a pooled buffer of the size class that holds n bytes.
+func getBuf(n int) *[]byte {
+	if n <= smallDatagram {
+		return smallPool.Get().(*[]byte)
+	}
+	return largePool.Get().(*[]byte)
+}
+
+// putBuf returns b to the pool of its size class.
+func putBuf(b *[]byte) {
+	if cap(*b) <= smallDatagram {
+		smallPool.Put(b)
+		return
+	}
+	largePool.Put(b)
+}
+
+// copyOut moves one received datagram out of read scratch into a pooled
+// buffer of its size class; the caller owns the result.
+func copyOut(p []byte) *[]byte {
+	b := getBuf(len(p))
+	copy(*b, p)
+	return b
+}
 
 // Submitter is the shaping surface a relay pushes datagrams through:
 // exactly one of deliver or drop must eventually run for every call.
@@ -480,8 +515,8 @@ func (r *Relay) recoverPump(streak *int, err error) bool {
 // The data plane itself — batch reading, shaping, and coalesced writing —
 // lives in pump.go (processBatch and friends); the platform pktio
 // implementations live in pktio*.go, and the shared sharded event loops
-// in pump_linux.go. Every datagram still moves through one pooled
-// max-size buffer from read to delivery or drop, with no per-datagram
-// copy. (A buffer whose delivery timer is revoked by an emud session Stop
-// is simply left to the garbage collector — sync.Pool does not require
-// returns.)
+// in pump_linux.go. A reader borrows read scratch only for the length of
+// one read; every datagram then moves in one pooled buffer of its size
+// class from read to delivery or drop. (A buffer whose delivery timer is
+// revoked by an emud session Stop is simply left to the garbage collector
+// — sync.Pool does not require returns.)

@@ -215,31 +215,66 @@ func TestRelayWithExternalEngine(t *testing.T) {
 	}
 }
 
-func TestRelayLargeDatagramRoundTrip(t *testing.T) {
-	// Payloads near the pool buffer size survive the pooled no-copy path.
+// TestRelayCarriesClassBoundaryDatagrams sends datagrams on both sides of
+// the small buffer class (2048 and 2049 bytes), one mid-way through the
+// large class and the largest UDP payload through every pktio path: the shard-driven and per-relay
+// mmsgConn readers and the portable genericConn. Each must come back
+// byte for byte, after crossing the relay in both directions.
+func TestRelayCarriesClassBoundaryDatagrams(t *testing.T) {
 	target := echoServer(t)
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0), Tick: -1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		mmsg   bool // needs the batched fast path
+		shards int  // > 0: attach to a PumpGroup of this many shards
+		force  bool // ForceGenericIO
+	}{
+		{name: "mmsg-sharded", mmsg: true, shards: 1},
+		{name: "mmsg-pump", mmsg: true},
+		{name: "generic", force: true},
 	}
-	defer r.Close()
-	c := dialRelay(t, r)
-	payload := make([]byte, 32*1024)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 64*1024)
-	n, err := c.Read(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(payload) || !bytes.Equal(got[:n], payload) {
-		t.Fatalf("echoed %d bytes, corrupted or truncated (want %d)", n, len(payload))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.mmsg && !BatchIOSupported() {
+				t.Skip("batched socket I/O not supported on this platform")
+			}
+			var g *PumpGroup
+			if tc.shards > 0 {
+				g = NewPumpGroup(PumpGroupConfig{Shards: tc.shards})
+				defer g.Close()
+			}
+			r, err := NewRelay("127.0.0.1:0", target.String(), Config{
+				Trace: constTrace(0, 0), Tick: -1, Seed: 1,
+				Group: g, ForceGenericIO: tc.force,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, ok := r.clientIO.(*genericConn); ok != tc.force {
+				t.Fatalf("client side pktio %T, want generic=%v", r.clientIO, tc.force)
+			}
+			if r.Sharded() != (tc.shards > 0) {
+				t.Fatalf("Sharded() = %v, want %v", r.Sharded(), tc.shards > 0)
+			}
+			c := dialRelay(t, r)
+			got := make([]byte, maxDatagram+1)
+			for _, size := range []int{smallDatagram, smallDatagram + 1, 32 << 10, 65507} {
+				payload := make([]byte, size)
+				for i := range payload {
+					payload[i] = byte(i*7 + size)
+				}
+				c.SetReadDeadline(time.Now().Add(5 * time.Second))
+				if _, err := c.Write(payload); err != nil {
+					t.Fatalf("%d B: %v", size, err)
+				}
+				n, err := c.Read(got)
+				if err != nil {
+					t.Fatalf("%d B: %v", size, err)
+				}
+				if !bytes.Equal(got[:n], payload) {
+					t.Fatalf("%d B datagram came back as %d B, corrupted or truncated", size, n)
+				}
+			}
+		})
 	}
 }

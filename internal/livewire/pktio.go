@@ -4,16 +4,20 @@ import "net"
 
 // DefaultBatch is the data plane's per-syscall datagram budget: how many
 // packets one recvmmsg may return, and how many queued deliveries one
-// sendmmsg may carry. 32 keeps a batch's pooled buffers (32 × 64 KiB)
-// within a sane working set while amortizing the syscall and engine-lock
-// cost over enough packets to matter.
+// sendmmsg may carry. A read borrows scratch for a whole batch of
+// max-size datagrams (32 × 64 KiB) only for the length of the read, so
+// the budget costs a transient working set per active reader, not memory
+// held per socket, while amortizing the syscall and engine-lock cost over
+// enough packets to matter.
 const DefaultBatch = 32
 
-// ioMessage is one datagram slot in a batched I/O exchange. buf is always
-// a pooled max-datagram buffer (getBuf/putBuf); n is the payload length —
-// set by ReadBatch, honored by WriteBatch. addr is the datagram's source
-// (reads on unconnected sockets) or destination (writes on unconnected
-// sockets); it is nil on connected sockets, which already know their peer.
+// ioMessage is one datagram slot in a batched I/O exchange. buf is a
+// pooled buffer of the datagram's size class (getBuf/putBuf), owned by
+// whoever holds the slot; n is the payload length — set by ReadBatch,
+// honored by WriteBatch. addr is the datagram's source (reads on
+// unconnected sockets) or destination (writes on unconnected sockets); it
+// is nil on connected sockets, which already know their peer. A source
+// address may be shared by many datagrams and is never mutated.
 type ioMessage struct {
 	buf  *[]byte
 	n    int
@@ -28,9 +32,12 @@ type ioMessage struct {
 //
 // ReadBatch blocks until at least one datagram is available, then fills
 // as many slots as the socket can supply without blocking again and
-// returns the count. It gives an empty slot (nil buf) a pooled buffer
-// only when it may fill it, so a reader parked on an idle socket pins at
-// most the one buffer genericConn reads into. WriteBatch sends the
+// returns the count. The kernel writes into borrowed read scratch; each
+// datagram is then copied into a pooled buffer of its size class, which
+// the filled slot hands to the caller. The scratch goes back to its pool
+// before ReadBatch returns, and mmsgConn gives it back before it parks,
+// so an idle reader pins no buffers (genericConn holds its one borrowed
+// 64 KiB buffer across the stdlib's parked read). WriteBatch sends the
 // messages in order and returns how many were sent; a non-nil error
 // refers to the first unsent message.
 // ReadBatch must only be called from the socket's single reader (its pump
@@ -53,23 +60,20 @@ func (g *genericConn) ReadBatch(ms []ioMessage) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
-	m := &ms[0]
-	if m.buf == nil {
-		m.buf = getBuf()
-	}
+	scratch := getBuf(maxDatagram)
+	defer putBuf(scratch)
+	var n int
+	var addr *net.UDPAddr
+	var err error
 	if g.connected {
-		n, err := g.c.Read(*m.buf)
-		if err != nil {
-			return 0, err
-		}
-		m.n, m.addr = n, nil
-		return 1, nil
+		n, err = g.c.Read(*scratch)
+	} else {
+		n, addr, err = g.c.ReadFromUDP(*scratch)
 	}
-	n, addr, err := g.c.ReadFromUDP(*m.buf)
 	if err != nil {
 		return 0, err
 	}
-	m.n, m.addr = n, addr
+	ms[0] = ioMessage{buf: copyOut((*scratch)[:n]), n: n, addr: addr}
 	return 1, nil
 }
 

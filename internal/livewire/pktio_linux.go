@@ -10,6 +10,7 @@
 package livewire
 
 import (
+	"bytes"
 	"net"
 	"os"
 	"runtime"
@@ -29,29 +30,67 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
+// readScratch is what one recvmmsg needs: headers, iovecs, source
+// names and a slab of max-size datagram slots for the kernel to write
+// into. A reader borrows one from scratchPool per read and returns it
+// before the read returns (or before it parks), so scratch is held per
+// active read, never per socket.
+type readScratch struct {
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	names []syscall.RawSockaddrAny
+	slab  []byte
+}
+
+var scratchPool sync.Pool
+
+// getScratch borrows read scratch for a batch of n datagrams. A pooled
+// scratch too small for n is left to the garbage collector.
+func getScratch(n int) *readScratch {
+	if s, _ := scratchPool.Get().(*readScratch); s != nil && len(s.hdrs) >= n {
+		return s
+	}
+	s := &readScratch{
+		hdrs:  make([]mmsghdr, n),
+		iovs:  make([]syscall.Iovec, n),
+		names: make([]syscall.RawSockaddrAny, n),
+		slab:  make([]byte, n*maxDatagram),
+	}
+	for i := range s.hdrs {
+		s.iovs[i].Base = &s.slab[i*maxDatagram]
+		s.iovs[i].Len = maxDatagram
+		s.hdrs[i].hdr.Iov = &s.iovs[i]
+		s.hdrs[i].hdr.Iovlen = 1
+	}
+	return s
+}
+
 // mmsgConn drives one UDP socket with recvmmsg/sendmmsg. All direct
 // syscalls run inside RawConn callbacks, which both serializes them with
 // the runtime's fd lifecycle (no fd-reuse race with Close) and provides
 // the blocking behaviour: returning false from a Read callback parks the
 // goroutine on the netpoller until the socket is readable.
 //
-// Read scratch (rhdrs/riovs/rnames) and the read callback's arguments
-// and results (rms..rerr) are confined to the socket's single reader.
-// Write scratch has its own lock because burst flushes and direct sends
-// (delayed deliveries firing off the timer wheel) may overlap.
+// The read callback's arguments and results (rn..rerr) and the last
+// source address (src, srcName) are confined to the socket's single
+// reader; the read scratch itself is borrowed per read. Write scratch has
+// its own lock because burst flushes and direct sends (delayed
+// deliveries firing off the timer wheel) may overlap.
 type mmsgConn struct {
 	c         *net.UDPConn
 	raw       syscall.RawConn
 	connected bool
 
-	rhdrs  []mmsghdr
-	riovs  []syscall.Iovec
-	rnames []syscall.RawSockaddrAny
 	recv   func(fd uintptr) bool // m.recvmmsg, bound once per conn
-	rms    []ioMessage
+	rn     int
 	rblock bool
+	rs     *readScratch
 	rgot   int
 	rerr   error
+
+	src     *net.UDPAddr // last source address handed out
+	srcName [syscall.SizeofSockaddrInet6]byte
+	srcLen  int
 
 	wmu    sync.Mutex
 	whdrs  []mmsghdr
@@ -76,60 +115,53 @@ func (m *mmsgConn) ReadBatch(ms []ioMessage) (int, error) {
 
 // readBatch fills ms from the socket: blocking waits on the netpoller for
 // the first datagram; non-blocking (the shard loops, which learn about
-// readiness from their own epoll set) returns 0 on EAGAIN.
+// readiness from their own epoll set) returns 0 on EAGAIN. Each datagram
+// leaves in a pooled buffer of its size class; the read scratch goes back
+// to its pool before readBatch returns.
 func (m *mmsgConn) readBatch(ms []ioMessage, block bool) (int, error) {
 	n := len(ms)
 	if n == 0 {
 		return 0, nil
 	}
-	if cap(m.rhdrs) < n {
-		m.rhdrs = make([]mmsghdr, n)
-		m.riovs = make([]syscall.Iovec, n)
-		m.rnames = make([]syscall.RawSockaddrAny, n)
-	}
-	m.rms, m.rblock, m.rgot, m.rerr = ms, block, 0, nil
+	m.rn, m.rblock, m.rgot, m.rerr = n, block, 0, nil
 	err := m.raw.Read(m.recv)
-	got, serr := m.rgot, m.rerr
-	m.rms, m.rerr = nil, nil
-	clear(m.riovs[:n]) // the scratch must not keep handed-off buffers alive
+	s, got, serr := m.rs, m.rgot, m.rerr
+	m.rs, m.rerr = nil, nil
+	if s != nil {
+		defer scratchPool.Put(s)
+	}
 	if err != nil {
 		return 0, err
 	}
 	if serr != nil {
 		return 0, serr
 	}
-	names := m.rnames[:n]
 	for i := 0; i < got; i++ {
-		ms[i].n = int(m.rhdrs[i].cnt)
-		if m.connected {
-			ms[i].addr = nil
-		} else {
-			ms[i].addr = sockaddrToUDP(&names[i])
+		k := int(s.hdrs[i].cnt)
+		ms[i] = ioMessage{buf: copyOut(s.slab[i*maxDatagram:][:k]), n: k}
+		if !m.connected {
+			ms[i].addr = m.source(&s.names[i], s.hdrs[i].hdr.Namelen)
 		}
 	}
 	return got, nil
 }
 
-// recvmmsg is readBatch's RawConn.Read callback. Empty slots take a
-// pooled buffer just before the syscall, and a blocking reader hands
-// every buffer back before it parks: a pump on an idle socket pins none.
+// recvmmsg is readBatch's RawConn.Read callback. It borrows read scratch
+// just before the syscall, and a blocking reader hands it back before it
+// parks: a pump on an idle socket pins none.
 func (m *mmsgConn) recvmmsg(fd uintptr) bool {
-	ms := m.rms
-	n := len(ms)
-	hdrs, iovs, names := m.rhdrs[:n], m.riovs[:n], m.rnames[:n]
-	for i := 0; i < n; i++ {
-		if ms[i].buf == nil {
-			ms[i].buf = getBuf()
-		}
-		iovs[i].Base = &(*ms[i].buf)[0]
-		iovs[i].Len = uint64(len(*ms[i].buf))
-		h := &hdrs[i]
-		*h = mmsghdr{}
-		h.hdr.Iov = &iovs[i]
-		h.hdr.Iovlen = 1
-		if !m.connected {
-			h.hdr.Name = (*byte)(unsafe.Pointer(&names[i]))
-			h.hdr.Namelen = uint32(syscall.SizeofSockaddrAny)
+	if m.rs == nil {
+		m.rs = getScratch(m.rn)
+	}
+	s, n := m.rs, m.rn
+	hdrs := s.hdrs[:n]
+	for i := range hdrs {
+		h := &hdrs[i].hdr
+		if m.connected {
+			h.Name, h.Namelen = nil, 0
+		} else {
+			h.Name = (*byte)(unsafe.Pointer(&s.names[i]))
+			h.Namelen = uint32(syscall.SizeofSockaddrAny)
 		}
 	}
 	r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
@@ -141,8 +173,8 @@ func (m *mmsgConn) recvmmsg(fd uintptr) bool {
 		return true
 	case syscall.EAGAIN, syscall.EINTR:
 		if m.rblock {
-			releaseSlots(ms)
-			clear(iovs)
+			scratchPool.Put(s)
+			m.rs = nil
 			return false // park on the netpoller until readable
 		}
 		return true
@@ -150,6 +182,23 @@ func (m *mmsgConn) recvmmsg(fd uintptr) bool {
 		m.rerr = os.NewSyscallError("recvmmsg", errno)
 		return true
 	}
+}
+
+// source returns a datagram's source address. A reader's peers rarely
+// change between datagrams, so when the raw sockaddr bytes match the last
+// ones the previous address is handed out again instead of a new one.
+// Published addresses are never mutated, so sharing is safe.
+func (m *mmsgConn) source(rsa *syscall.RawSockaddrAny, namelen uint32) *net.UDPAddr {
+	if int(namelen) > len(m.srcName) {
+		return sockaddrToUDP(rsa)
+	}
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(rsa)), namelen)
+	if m.src != nil && bytes.Equal(raw, m.srcName[:m.srcLen]) {
+		return m.src
+	}
+	m.src = sockaddrToUDP(rsa)
+	m.srcLen = copy(m.srcName[:], raw)
+	return m.src
 }
 
 // WriteBatch implements batchConn. Partial sends without error retry the

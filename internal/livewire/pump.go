@@ -508,24 +508,11 @@ func (r *Relay) pump(dir simnet.Direction) {
 			if r.recoverPump(&streak, err) {
 				continue
 			}
-			releaseSlots(ms)
 			return
 		}
 		streak = 0
 		r.processBatch(dir, ms[:n])
-		for i := 0; i < n; i++ {
-			ms[i].buf, ms[i].addr = nil, nil
-		}
-	}
-}
-
-// releaseSlots returns a read scratch's remaining pooled buffers.
-func releaseSlots(ms []ioMessage) {
-	for i := range ms {
-		if ms[i].buf != nil {
-			putBuf(ms[i].buf)
-			ms[i].buf = nil
-		}
+		clear(ms[:n]) // the buffers are processBatch's now
 	}
 }
 

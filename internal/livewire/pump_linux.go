@@ -181,7 +181,6 @@ func (sh *pumpShard) loop() {
 	defer close(sh.done)
 	events := make([]syscall.EpollEvent, 128)
 	ms := make([]ioMessage, sh.g.batch)
-	defer releaseSlots(ms)
 	// The wait callback is built once: a zero-timeout epoll_wait that
 	// parks the goroutine on the netpoller (return false) only when the
 	// set has nothing ready.
@@ -231,9 +230,7 @@ func (sh *pumpShard) service(pe *pumpEnd, ms []ioMessage) {
 			return // EAGAIN: drained
 		}
 		pe.r.processBatch(pe.dir, ms[:n])
-		for i := 0; i < n; i++ {
-			ms[i].buf, ms[i].addr = nil, nil
-		}
+		clear(ms[:n]) // the buffers are processBatch's now
 		if n < len(ms) {
 			return
 		}

@@ -231,6 +231,126 @@ func TestIdleGrouplessRelaysPinNoReadBuffers(t *testing.T) {
 	}
 }
 
+// liveHeap returns HeapAlloc after two GC cycles: the second frees what
+// the first moved into the sync.Pool victim caches, so pooled buffers
+// nobody holds do not count.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// heapGrowthBelow polls until HeapAlloc has grown less than limit over
+// before, or until deadline, and returns the last growth seen: the last
+// reader to finish may not have returned its read scratch yet.
+func heapGrowthBelow(before, limit uint64, deadline time.Time) uint64 {
+	var grew uint64
+	for {
+		grew = 0
+		if after := liveHeap(); after > before {
+			grew = after - before
+		}
+		if grew < limit || time.Now().After(deadline) {
+			return grew
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestIdleShardsPinNoReadBuffers checks that PumpGroup shards hold no
+// read buffers between reads: a shard that kept its read batch filled
+// would pin 2 × DefaultBatch × 64 KiB = 4 MiB here, plus per-socket
+// recvmmsg scratch, after a single burst per relay.
+func TestIdleShardsPinNoReadBuffers(t *testing.T) {
+	if !BatchIOSupported() {
+		t.Skip("batched socket I/O not supported on this platform")
+	}
+	g := NewPumpGroup(PumpGroupConfig{Shards: 2})
+	defer g.Close()
+	target := echoServer(t)
+	before := liveHeap()
+	relays := make([]*Relay, 64)
+	for i := range relays {
+		r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(),
+			instantSubmitter{}, RelayOpts{Group: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if !r.Sharded() {
+			t.Fatal("relay did not attach to the group")
+		}
+		relays[i] = r
+	}
+	for _, r := range relays {
+		burstEcho(t, r, 8, 8)
+	}
+	const limit = 1 << 20
+	grew := heapGrowthBelow(before, limit, time.Now().Add(5*time.Second))
+	t.Logf("64 idle sharded relays: HeapAlloc grew %d KiB", grew>>10)
+	if grew >= limit {
+		t.Fatalf("64 idle sharded relays grew HeapAlloc by %d KiB, want < %d KiB",
+			grew>>10, limit>>10)
+	}
+}
+
+// TestInFlightDatagramsPinTheirSizeClass holds 256 small datagrams in the
+// shaper for a 2 s trace delay and checks that what they pin tracks their
+// size class (2 KiB each), not the largest datagram a socket can carry
+// (64 KiB each would be 16 MiB). Every datagram must still arrive.
+func TestInFlightDatagramsPinTheirSizeClass(t *testing.T) {
+	target := sinkServer(t)
+	before := liveHeap() // the relay's own state counts against the limit
+	const hold = 2 * time.Second
+	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
+		Trace: replay.Constant(core.DelayParams{F: hold}, 0, 10*time.Second, time.Second),
+		Tick:  -1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	c := dialRelay(t, r)
+	payload := make([]byte, 100)
+	start := time.Now()
+	const total, window = 256, 32
+	for sent := 0; sent < total; sent += window {
+		for i := 0; i < window; i++ {
+			if _, err := c.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Pace against the relay so the socket buffer never overflows.
+		for r.Stats().ReadPackets < int64(sent+window) {
+			if time.Since(start) > hold/4 {
+				t.Fatalf("relay read %d/%d datagrams", r.Stats().ReadPackets, total)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	const limit = 2 << 20
+	grew := heapGrowthBelow(before, limit, start.Add(hold/2))
+	st := r.Stats()
+	t.Logf("%d datagrams of %d B in flight: HeapAlloc grew %d KiB",
+		total-st.ClientToTarget, len(payload), grew>>10)
+	if st.ClientToTarget != 0 || time.Since(start) >= hold {
+		t.Fatalf("datagrams left the shaper before the heap was measured (%d delivered)",
+			st.ClientToTarget)
+	}
+	if grew >= limit {
+		t.Fatalf("%d in-flight %d-byte datagrams grew HeapAlloc by %d KiB, want < %d KiB",
+			total, len(payload), grew>>10, limit>>10)
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.Stats().ClientToTarget < total; {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d/%d held datagrams", r.Stats().ClientToTarget, total)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestRelayCloseMidBurst races Relay.Close (and then group Close)
 // against a client blasting packets: no panic, no deadlock, no send
 // after close. Run with -race.
@@ -278,13 +398,13 @@ func TestRelayCloseMidBurst(t *testing.T) {
 // sinkServer is a bound-but-never-read UDP socket: loopback delivery
 // into a full receive buffer is a silent drop, so the relay's sends
 // always succeed and the sink costs the benchmark zero syscalls.
-func sinkServer(b *testing.B) *net.UDPAddr {
-	b.Helper()
+func sinkServer(tb testing.TB) *net.UDPAddr {
+	tb.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { conn.Close() })
+	tb.Cleanup(func() { conn.Close() })
 	return conn.LocalAddr().(*net.UDPAddr)
 }
 
@@ -317,11 +437,10 @@ func benchRelayThroughput(b *testing.B, cfg Config) {
 	// syscall rate never caps the measurement.
 	cio := newBatchConn(c, true, false)
 	ms := make([]ioMessage, DefaultBatch)
+	payload := make([]byte, 256)
 	for i := range ms {
-		ms[i].buf = getBuf()
-		ms[i].n = 256
+		ms[i] = ioMessage{buf: &payload, n: len(payload)}
 	}
-	defer releaseSlots(ms)
 
 	const window = 512
 	b.ReportAllocs()
