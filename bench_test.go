@@ -265,7 +265,7 @@ func BenchmarkEngineSubmit(b *testing.B) {
 	eng := modulation.NewEngine(modulation.SimClock{S: s}, &modulation.SliceSource{Trace: trace}, modulation.Config{Tick: -1, RNG: rand.New(rand.NewSource(1))})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Submit(simnet.Outbound, 1500, func() {})
+		eng.SubmitWithDrop(simnet.Outbound, 1500, func() {}, nil)
 		if i%1024 == 0 {
 			b.StopTimer()
 			s.RunUntil(s.Now().Add(time.Hour)) // drain scheduled deliveries
@@ -318,7 +318,7 @@ func engineHotPathBench(withObs bool) func(b *testing.B) {
 		deliver := func() {}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eng.Submit(simnet.Outbound, 1500, deliver)
+			eng.SubmitWithDrop(simnet.Outbound, 1500, deliver, nil)
 		}
 	}
 }

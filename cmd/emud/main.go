@@ -10,7 +10,7 @@
 //	emud [-listen :8091] [-shards 4] [-granularity 10ms] [-tick 10ms]
 //	     [-pump-shards 0]
 //	     [-max-sessions 4096] [-idle-timeout 0] [-drain-timeout 5s]
-//	     [-trace-cache 64] [-events 4096]
+//	     [-trace-cache 64]
 //	     [-max-session-inflight 0] [-max-inflight-bytes 0]
 //	     [-snapshot PATH] [-snapshot-interval 10s] [-recover]
 //	     [-wal-dir PATH] [-wal-sync always|interval|none] [-wal-segment 8388608]
@@ -75,11 +75,10 @@
 //	POST   /v1/faults             arm a point: {"name":..,"rate":..,"delay_ms":..}
 //	DELETE /v1/faults             disarm every point
 //	GET    /metrics               Prometheus-style export (per-session labels)
-//	GET    /debug/events          recent engine events
 //
 // With -trace-sample R (e.g. 0.01) the daemon samples end-to-end spans for
 // roughly one packet in 1/R across the whole journey — HTTP handler,
-// session manager, timer wheel, modulation engine, relay pump — and keeps
+// session manager, timer wheel, modulation engine — and keeps
 // the last -flight spans per session in a lock-free flight recorder,
 // dumped via the control plane and on panic quarantine. The control plane
 // honors and emits W3C `traceparent` headers, so external callers can
@@ -165,7 +164,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", emud.DefaultDrainTimeout, "graceful-drain bound on shutdown")
 	traceCache := flag.Int("trace-cache", emud.DefaultStoreCapacity, "trace-store LRU capacity")
 	strictTraces := flag.Bool("strict-traces", false, "refuse damaged or dirty trace files instead of salvaging them")
-	events := flag.Int("events", 4096, "event-trace ring capacity (0 disables)")
 	pumpShards := flag.Int("pump-shards", 0, "relay data-plane event loops (0 = GOMAXPROCS; negative disables sharding)")
 	maxInflight := flag.Int("max-session-inflight", 0, "per-session in-flight packet cap (0 = unlimited)")
 	maxBytes := flag.Int64("max-inflight-bytes", 0, "farm-wide in-flight byte budget (0 = unlimited)")
@@ -236,10 +234,6 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	var tracer *obs.RingTracer
-	if *events > 0 {
-		tracer = obs.NewRingTracer(*events)
-	}
 	var inj *faults.Injector
 	if *enableFaults {
 		inj = faults.New(faults.Options{Seed: *faultSeed, Metrics: reg})
@@ -306,7 +300,7 @@ func main() {
 		}
 	}
 
-	srv, err := emud.NewAPI(m, reg, tracer).Serve(*listen)
+	srv, err := emud.NewAPI(m, reg, nil).Serve(*listen)
 	if err != nil {
 		log.Error("control listener failed", "err", err)
 		os.Exit(1)

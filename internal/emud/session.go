@@ -376,10 +376,9 @@ func (s *Session) Submit(dir simnet.Direction, size int, deliver func()) bool {
 	return s.submit(dir, size, deliver, nil)
 }
 
-// SubmitWithDrop implements livewire.Submitter, so an attached relay's
-// traffic flows through the session's accounting. drop also runs when the
-// session rejects the packet outright (the relay reclaims its buffer
-// either way).
+// SubmitWithDrop is Submit with an explicit loss outcome: exactly one of
+// deliver or drop runs for every packet. drop also runs when the session
+// rejects the packet outright.
 func (s *Session) SubmitWithDrop(dir simnet.Direction, size int, deliver, drop func()) {
 	s.submit(dir, size, deliver, drop)
 }
@@ -405,7 +404,7 @@ func (s *Session) submit(dir simnet.Direction, size int, deliver, drop func()) b
 	return true
 }
 
-// SubmitBatch implements livewire.BatchSubmitter: an attached relay's
+// SubmitBatch implements livewire.Submitter: an attached relay's
 // read burst enters the session's engine under a single engine-lock
 // acquisition. Per-packet admission control, accounting, and span rooting
 // are unchanged from the sequential path — a shed or rejected packet

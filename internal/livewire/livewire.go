@@ -24,7 +24,6 @@ import (
 	"tracemod/internal/faults"
 	"tracemod/internal/modulation"
 	"tracemod/internal/obs"
-	"tracemod/internal/obs/span"
 	"tracemod/internal/packet"
 	"tracemod/internal/simnet"
 )
@@ -109,12 +108,14 @@ func copyOut(p []byte) *[]byte {
 	return b
 }
 
-// Submitter is the shaping surface a relay pushes datagrams through:
-// exactly one of deliver or drop must eventually run for every call.
-// *modulation.Engine implements it directly; the emud session farm
-// interposes its per-session accounting by implementing it on Session.
+// Submitter is the shaping surface a relay pushes datagrams through: a
+// whole read burst enters it at once, and exactly one of each
+// Submission's Deliver or Drop must eventually run. *modulation.Engine
+// implements it directly (one engine-lock acquisition per burst); the
+// emud session farm interposes its per-packet admission control and
+// accounting by implementing it on Session.
 type Submitter interface {
-	SubmitWithDrop(dir simnet.Direction, size int, deliver, drop func())
+	SubmitBatch(subs []modulation.Submission)
 }
 
 // Config parameterizes a relay.
@@ -137,26 +138,24 @@ type Config struct {
 	Obs *obs.Registry
 	// Tracer, if non-nil, receives the engine's packet-lifecycle events.
 	Tracer obs.Tracer
-	// Spans, if non-nil, samples per-datagram "livewire.packet" root spans
-	// in the pumps, threaded through the engine (modulation child, wheel
-	// wait, delivery events) and ended after the socket write. The relay
-	// owns rooting, so the engine itself is not given a tracer.
-	Spans *span.Tracer
+	// RelayOpts tunes the data plane.
+	RelayOpts
+}
+
+// RelayOpts tunes a relay's data plane.
+type RelayOpts struct {
+	// Group, if enabled, places the relay's sockets on the shared
+	// sharded pumps instead of spawning two goroutines.
+	Group *PumpGroup
+	// ForceGenericIO selects the portable single-message pktio even
+	// where the batched recvmmsg/sendmmsg path is available — the
+	// fallback test suite runs the relay this way on Linux.
+	ForceGenericIO bool
 	// Retry shapes how a pump backs off after a transient socket error
 	// (an ICMP port-unreachable bounced off a not-yet-started target, an
 	// interrupted syscall) before reading again. The zero value uses the
 	// faults package defaults.
 	Retry faults.Backoff
-	// Batch is the data plane's per-syscall datagram budget
-	// (DefaultBatch if 0).
-	Batch int
-	// ForceGenericIO selects the portable single-message pktio even
-	// where the batched recvmmsg/sendmmsg path is available — the
-	// fallback test suite runs the relay this way on Linux.
-	ForceGenericIO bool
-	// Group, if enabled, places the relay's sockets on the shared
-	// sharded pumps instead of spawning two goroutines.
-	Group *PumpGroup
 }
 
 // Stats counts relay activity.
@@ -190,10 +189,7 @@ func (s Stats) AvgBatch() float64 {
 // Relay is a live packet-shaping daemon.
 type Relay struct {
 	submit Submitter
-	bsub   BatchSubmitter     // non-nil when submit is batch-aware
-	engine *modulation.Engine // nil for NewRelayWithSubmitter relays
-	clock  *RealClock         // non-nil when the relay owns its clock
-	spans  *span.Tracer       // nil-safe; only set for relays that own an engine
+	clock  *RealClock // non-nil when the relay owns its clock (NewRelay)
 
 	clientSide *net.UDPConn // clients talk to this
 	targetSide *net.UDPConn // connected toward the target
@@ -204,7 +200,6 @@ type Relay struct {
 	qClient sendQ // coalesced writes toward the client
 	qTarget sendQ // coalesced writes toward the target
 
-	batch   int              // per-syscall datagram budget
 	group   *PumpGroup       // nil when running per-relay pumps
 	gins    *pumpInstruments // group-level series; nil-safe
 	detach  func()           // shard deregistration; nil when not attached
@@ -224,27 +219,6 @@ type Relay struct {
 	batches, batchedPkts            atomic.Int64
 	cFlushFull, cFlushBurst         atomic.Int64
 	cDirect                         atomic.Int64
-}
-
-// start wires the data plane: pktio over both sockets, then either a
-// PumpGroup shard (batched Linux path) or two per-relay pump goroutines
-// (everywhere else). Called exactly once, before the relay is returned
-// to the caller.
-func (r *Relay) start(group *PumpGroup, forceGeneric bool) {
-	if r.batch <= 0 {
-		r.batch = DefaultBatch
-	}
-	r.started = time.Now()
-	r.bsub, _ = r.submit.(BatchSubmitter)
-	r.clientIO = newBatchConn(r.clientSide, false, forceGeneric)
-	r.targetIO = newBatchConn(r.targetSide, true, forceGeneric)
-	r.gins = group.instruments()
-	if group.attach(r) {
-		r.group = group
-		return
-	}
-	go r.pump(simnet.Outbound)
-	go r.pump(simnet.Inbound)
 }
 
 // Sharded reports whether the relay runs on a PumpGroup shard rather
@@ -276,17 +250,15 @@ func bindSockets(listenAddr, targetAddr string) (*net.UDPConn, *net.UDPConn, err
 	return clientSide, targetSide, nil
 }
 
-// NewRelay binds listenAddr for clients and connects toward targetAddr.
-// Use "127.0.0.1:0" as listenAddr to pick a free port; Addr reports it.
+// NewRelay binds listenAddr for clients and connects toward targetAddr,
+// shaping traffic through an engine of its own on a RealClock it closes
+// on Close. Use "127.0.0.1:0" as listenAddr to pick a free port; Addr
+// reports it.
 func NewRelay(listenAddr, targetAddr string, cfg Config) (*Relay, error) {
 	if len(cfg.Trace) == 0 {
 		return nil, errors.New("livewire: empty trace")
 	}
 	if err := cfg.Trace.Validate(); err != nil {
-		return nil, err
-	}
-	clientSide, targetSide, err := bindSockets(listenAddr, targetAddr)
-	if err != nil {
 		return nil, err
 	}
 	clock := NewRealClock()
@@ -298,17 +270,12 @@ func NewRelay(listenAddr, targetAddr string, cfg Config) (*Relay, error) {
 		Metrics:      cfg.Obs,
 		Tracer:       cfg.Tracer,
 	})
-	r := &Relay{
-		submit:     eng,
-		engine:     eng,
-		clock:      clock,
-		spans:      cfg.Spans,
-		clientSide: clientSide,
-		targetSide: targetSide,
-		closed:     make(chan struct{}),
-		retry:      cfg.Retry,
-		batch:      cfg.Batch,
+	r, err := NewRelayWithSubmitterOpts(listenAddr, targetAddr, eng, cfg.RelayOpts)
+	if err != nil {
+		clock.Close()
+		return nil, err
 	}
+	r.clock = clock
 	if cfg.Obs != nil {
 		cfg.Obs.CounterFunc("tracemod_livewire_client_to_target_total",
 			"Packets relayed from the client toward the target.",
@@ -346,35 +313,17 @@ func NewRelay(listenAddr, targetAddr string, cfg Config) (*Relay, error) {
 		cfg.Obs.Gauge("tracemod_livewire_trace_tuples",
 			"Tuples in the replay trace driving the relay.").Set(int64(len(cfg.Trace)))
 	}
-	r.start(cfg.Group, cfg.ForceGenericIO)
 	return r, nil
 }
 
-// RelayOpts tunes the data plane of a submitter-backed relay.
-type RelayOpts struct {
-	// Group, if enabled, places the relay on the shared sharded pumps.
-	Group *PumpGroup
-	// Batch is the per-syscall datagram budget (DefaultBatch if 0).
-	Batch int
-	// ForceGenericIO selects the portable single-message pktio.
-	ForceGenericIO bool
-	// Retry shapes pump backoff after transient socket errors.
-	Retry faults.Backoff
-}
-
-// NewRelayWithSubmitter binds sockets and shapes traffic through a
+// NewRelayWithSubmitterOpts binds sockets and shapes traffic through a
 // Submitter the caller owns — the emud session farm attaches one relay per
 // session this way (the session interposes its accounting, and every
-// engine shares the farm's timer wheel). The relay never closes the
-// submitter's clock; revoking pending timers is the caller's teardown
-// responsibility.
-func NewRelayWithSubmitter(listenAddr, targetAddr string, sub Submitter) (*Relay, error) {
-	return NewRelayWithSubmitterOpts(listenAddr, targetAddr, sub, RelayOpts{})
-}
-
-// NewRelayWithSubmitterOpts is NewRelayWithSubmitter with data-plane
-// options. If the Submitter also implements BatchSubmitter, read bursts
-// enter it whole through SubmitBatch.
+// engine shares the farm's timer wheel). It starts the data plane: pktio
+// over both sockets, then either a PumpGroup shard (batched Linux path)
+// or two per-relay pump goroutines (everywhere else). The relay never
+// closes the submitter's clock; revoking pending timers is the caller's
+// teardown responsibility.
 func NewRelayWithSubmitterOpts(listenAddr, targetAddr string, sub Submitter, opts RelayOpts) (*Relay, error) {
 	if sub == nil {
 		return nil, errors.New("livewire: nil submitter")
@@ -389,9 +338,17 @@ func NewRelayWithSubmitterOpts(listenAddr, targetAddr string, sub Submitter, opt
 		targetSide: targetSide,
 		closed:     make(chan struct{}),
 		retry:      opts.Retry,
-		batch:      opts.Batch,
+		started:    time.Now(),
+		clientIO:   newBatchConn(clientSide, false, opts.ForceGenericIO),
+		targetIO:   newBatchConn(targetSide, true, opts.ForceGenericIO),
+		gins:       opts.Group.instruments(),
 	}
-	r.start(opts.Group, opts.ForceGenericIO)
+	if opts.Group.attach(r) {
+		r.group = opts.Group
+	} else {
+		go r.pump(simnet.Outbound)
+		go r.pump(simnet.Inbound)
+	}
 	return r, nil
 }
 
@@ -418,21 +375,6 @@ func (r *Relay) Stats() Stats {
 		DirectSends:    r.cDirect.Load(),
 	}
 }
-
-// rootSpan samples one datagram's root span (nil when unsampled or
-// tracing is off).
-func (r *Relay) rootSpan(dir simnet.Direction, size int) *span.Span {
-	sp := r.spans.Root("livewire.packet")
-	if sp != nil {
-		sp.Attr("dir", int64(dir))
-		sp.Attr("size", int64(size))
-	}
-	return sp
-}
-
-// Engine exposes the underlying modulation engine (for its statistics).
-// It is nil for relays built with NewRelayWithSubmitter.
-func (r *Relay) Engine() *modulation.Engine { return r.engine }
 
 // Close shuts the relay down (and its clock, when the relay owns one).
 // A shard-attached relay deregisters from its shard before the sockets

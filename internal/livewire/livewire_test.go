@@ -181,12 +181,12 @@ func TestRelayWithExternalEngine(t *testing.T) {
 	tm := w.Timers()
 	eng := modulation.NewEngine(tm, &modulation.SliceSource{Trace: constTrace(15*time.Millisecond, 0), Loop: true},
 		modulation.Config{Tick: -1, RNG: rand.New(rand.NewSource(1))})
-	r, err := NewRelayWithSubmitter("127.0.0.1:0", target.String(), eng)
+	r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(), eng, RelayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := NewRelayWithSubmitter("127.0.0.1:0", target.String(), nil); err == nil {
+	if _, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(), nil, RelayOpts{}); err == nil {
 		t.Fatal("nil submitter must be rejected")
 	}
 
@@ -244,7 +244,7 @@ func TestRelayCarriesClassBoundaryDatagrams(t *testing.T) {
 			}
 			r, err := NewRelay("127.0.0.1:0", target.String(), Config{
 				Trace: constTrace(0, 0), Tick: -1, Seed: 1,
-				Group: g, ForceGenericIO: tc.force,
+				RelayOpts: RelayOpts{Group: g, ForceGenericIO: tc.force},
 			})
 			if err != nil {
 				t.Fatal(err)

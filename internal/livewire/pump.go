@@ -13,18 +13,8 @@ import (
 
 	"tracemod/internal/modulation"
 	"tracemod/internal/obs"
-	"tracemod/internal/obs/span"
 	"tracemod/internal/simnet"
 )
-
-// BatchSubmitter is the batch-aware extension of Submitter: a whole read
-// burst enters the shaper under one engine lock acquisition.
-// *modulation.Engine implements it natively; emud sessions interpose
-// their per-packet admission control and accounting around it. A relay
-// whose Submitter also implements BatchSubmitter uses it automatically.
-type BatchSubmitter interface {
-	SubmitBatch(subs []modulation.Submission)
-}
 
 // PumpGroupConfig parameterizes a PumpGroup.
 type PumpGroupConfig struct {
@@ -32,8 +22,6 @@ type PumpGroupConfig struct {
 	// A negative value disables the group: relays fall back to a pump
 	// goroutine per socket.
 	Shards int
-	// Batch is the per-syscall datagram budget (DefaultBatch if 0).
-	Batch int
 	// Metrics, if non-nil, registers the group's process-wide data-plane
 	// series (tracemod_livewire_pump_*) on the registry.
 	Metrics *obs.Registry
@@ -48,7 +36,6 @@ type PumpGroupConfig struct {
 // and relays transparently keep their per-relay pumps. All methods are
 // nil-receiver safe.
 type PumpGroup struct {
-	batch  int
 	want   int         // resolved shard count; 0 = group disabled
 	failed atomic.Bool // shard startup failed: fall back for good
 
@@ -68,11 +55,7 @@ type PumpGroup struct {
 // NewPumpGroup starts the shards. On unsupported platforms (or with
 // Shards < 0) it returns a disabled group, which is a valid, inert value.
 func NewPumpGroup(cfg PumpGroupConfig) *PumpGroup {
-	g := &PumpGroup{batch: cfg.Batch}
-	if g.batch <= 0 {
-		g.batch = DefaultBatch
-	}
-	g.ins = newPumpInstruments(cfg.Metrics)
+	g := &PumpGroup{ins: newPumpInstruments(cfg.Metrics)}
 	if cfg.Shards >= 0 && batchIOSupported {
 		g.want = cfg.Shards
 		if g.want == 0 {
@@ -231,13 +214,10 @@ const (
 // closed and deliveries go out directly — the wheel's delayed packets do
 // not wait for traffic that may never come.
 type sendQ struct {
-	mu    sync.Mutex
-	open  bool
-	msgs  []ioMessage
-	spans []*span.Span
-	// freeM/freeS recycle the slices across flushes.
-	freeM []ioMessage
-	freeS []*span.Span
+	mu   sync.Mutex
+	open bool
+	msgs []ioMessage
+	free []ioMessage // recycles the msgs backing array across flushes
 }
 
 func (q *sendQ) openWindow() {
@@ -247,25 +227,23 @@ func (q *sendQ) openWindow() {
 }
 
 // take steals the queued entries (and optionally closes the window),
-// handing back reusable backing arrays via give.
-func (q *sendQ) take(closeWindow bool) ([]ioMessage, []*span.Span) {
+// handing back a reusable backing array via give.
+func (q *sendQ) take(closeWindow bool) []ioMessage {
 	q.mu.Lock()
 	if closeWindow {
 		q.open = false
 	}
-	ms, sps := q.msgs, q.spans
-	q.msgs, q.spans = q.freeM[:0], q.freeS[:0]
-	q.freeM, q.freeS = nil, nil
+	ms := q.msgs
+	q.msgs, q.free = q.free[:0], nil
 	q.mu.Unlock()
-	return ms, sps
+	return ms
 }
 
-func (q *sendQ) give(ms []ioMessage, sps []*span.Span) {
+func (q *sendQ) give(ms []ioMessage) {
 	clear(ms)
-	clear(sps)
 	q.mu.Lock()
-	if q.freeM == nil {
-		q.freeM, q.freeS = ms[:0], sps[:0]
+	if q.free == nil {
+		q.free = ms[:0]
 	}
 	q.mu.Unlock()
 }
@@ -333,18 +311,14 @@ func (r *Relay) processBatch(dir simnet.Direction, ms []ioMessage) {
 	subs := (*sp)[:0]
 	for i := range ms {
 		bp, n := ms[i].buf, ms[i].n
-		size := wireSize(n)
-		psp := r.rootSpan(dir, size)
 		addr := replyAddr
 		subs = append(subs, modulation.Submission{
 			Dir:  dir,
-			Size: size,
-			Span: psp,
+			Size: wireSize(n),
 			Deliver: func() {
-				r.send(dir, bp, n, addr, psp)
+				r.send(dir, bp, n, addr)
 			},
 			Drop: func() {
-				psp.End()
 				r.dropped.Add(1)
 				putBuf(bp)
 			},
@@ -359,10 +333,10 @@ func (r *Relay) processBatch(dir simnet.Direction, ms []ioMessage) {
 }
 
 // submitBurst pushes one read burst into the shaper, recovering a panic
-// thrown synchronously by the submitter (or a callback it runs inline)
-// exactly as safeSubmit does for single packets: the pump survives, the
-// burst's remaining pooled buffers are leaked to the garbage collector
-// rather than risking a double put.
+// thrown synchronously by the submitter (or a callback it runs inline):
+// the pump survives and counts it in Stats.SubmitPanics, and the burst's
+// remaining pooled buffers are left to the garbage collector rather than
+// risking a double put.
 func (r *Relay) submitBurst(subs []modulation.Submission) {
 	if len(subs) == 0 {
 		return
@@ -372,31 +346,14 @@ func (r *Relay) submitBurst(subs []modulation.Submission) {
 			r.submitPanics.Add(1)
 		}
 	}()
-	if r.bsub != nil {
-		r.bsub.SubmitBatch(subs)
-		return
-	}
-	for i := range subs {
-		r.submitOne(&subs[i])
-	}
-}
-
-// submitOne submits one packet of a burst through the single-packet
-// Submitter surface (non-batch-aware submitters only).
-func (r *Relay) submitOne(s *modulation.Submission) {
-	if s.Span != nil && r.engine != nil {
-		r.engine.SubmitSpan(s.Dir, s.Size, s.Span, s.Deliver, s.Drop)
-		return
-	}
-	r.submit.SubmitWithDrop(s.Dir, s.Size, s.Deliver, s.Drop)
+	r.submit.SubmitBatch(subs)
 }
 
 // send transmits one modulated datagram toward dir's egress socket,
 // joining the open burst window when there is one.
-func (r *Relay) send(dir simnet.Direction, bp *[]byte, n int, addr *net.UDPAddr, sp *span.Span) {
+func (r *Relay) send(dir simnet.Direction, bp *[]byte, n int, addr *net.UDPAddr) {
 	select {
 	case <-r.closed:
-		sp.End()
 		putBuf(bp)
 		return
 	default:
@@ -405,8 +362,7 @@ func (r *Relay) send(dir simnet.Direction, bp *[]byte, n int, addr *net.UDPAddr,
 	q.mu.Lock()
 	if q.open {
 		q.msgs = append(q.msgs, ioMessage{buf: bp, n: n, addr: addr})
-		q.spans = append(q.spans, sp)
-		full := len(q.msgs) >= r.batch
+		full := len(q.msgs) >= DefaultBatch
 		q.mu.Unlock()
 		if full {
 			r.flushQ(dir, flushReasonFull)
@@ -418,9 +374,9 @@ func (r *Relay) send(dir simnet.Direction, bp *[]byte, n int, addr *net.UDPAddr,
 	r.gins.observeFlush(flushReasonDirect, 1)
 	one := [1]ioMessage{{buf: bp, n: n, addr: addr}}
 	if k, err := io.WriteBatch(one[:]); err != nil || k == 0 {
-		r.sendFailed(one[0], sp)
+		r.sendFailed(one[0])
 	} else {
-		r.sent(dir, one[0], sp)
+		r.sent(dir, one[0])
 	}
 }
 
@@ -428,7 +384,7 @@ func (r *Relay) send(dir simnet.Direction, bp *[]byte, n int, addr *net.UDPAddr,
 // window; a full flush mid-burst keeps it open.
 func (r *Relay) flushQ(dir simnet.Direction, reason string) {
 	q, io := r.outQ(dir)
-	ms, sps := q.take(reason == flushReasonBurst)
+	ms := q.take(reason == flushReasonBurst)
 	if len(ms) > 0 {
 		if reason == flushReasonFull {
 			r.cFlushFull.Add(1)
@@ -436,24 +392,24 @@ func (r *Relay) flushQ(dir simnet.Direction, reason string) {
 			r.cFlushBurst.Add(1)
 		}
 		r.gins.observeFlush(reason, len(ms))
-		r.writeAll(dir, io, ms, sps)
+		r.writeAll(dir, io, ms)
 	}
-	q.give(ms, sps)
+	q.give(ms)
 }
 
 // writeAll pushes a write batch out, skipping past per-message failures
 // so one bad destination cannot strand the rest of the batch.
-func (r *Relay) writeAll(dir simnet.Direction, io batchConn, ms []ioMessage, sps []*span.Span) {
+func (r *Relay) writeAll(dir simnet.Direction, io batchConn, ms []ioMessage) {
 	i := 0
 	for i < len(ms) {
 		k, err := io.WriteBatch(ms[i:])
 		for j := i; j < i+k; j++ {
-			r.sent(dir, ms[j], sps[j])
+			r.sent(dir, ms[j])
 		}
 		i += k
 		if err != nil {
 			if i < len(ms) {
-				r.sendFailed(ms[i], sps[i])
+				r.sendFailed(ms[i])
 				i++
 			}
 			continue
@@ -462,7 +418,7 @@ func (r *Relay) writeAll(dir simnet.Direction, io batchConn, ms []ioMessage, sps
 			// No progress and no error: release the remainder rather
 			// than spin.
 			for ; i < len(ms); i++ {
-				r.sendFailed(ms[i], sps[i])
+				r.sendFailed(ms[i])
 			}
 			return
 		}
@@ -470,28 +426,24 @@ func (r *Relay) writeAll(dir simnet.Direction, io batchConn, ms []ioMessage, sps
 }
 
 // sent books one successfully written datagram and releases its buffer.
-func (r *Relay) sent(dir simnet.Direction, m ioMessage, sp *span.Span) {
+func (r *Relay) sent(dir simnet.Direction, m ioMessage) {
 	if dir == simnet.Outbound {
 		r.c2t.Add(1)
 	} else {
 		r.t2c.Add(1)
 	}
 	r.txBytes.Add(int64(m.n))
-	sp.Event("pump-send", int64(m.n))
-	sp.End()
 	putBuf(m.buf)
 }
 
 // sendFailed is the relay's drop path for a post-modulation write
 // failure: the datagram already paid its way through the shaper, so it is
 // neither a delivery nor a lottery drop — it is a socket error, and the
-// pooled buffer and span still release exactly once.
-func (r *Relay) sendFailed(m ioMessage, sp *span.Span) {
+// pooled buffer still releases exactly once.
+func (r *Relay) sendFailed(m ioMessage) {
 	r.sendErrs.Add(1)
 	r.socketErrs.Add(1)
 	r.gins.observeSendErr()
-	sp.Event("pump-send-error", 0)
-	sp.End()
 	putBuf(m.buf)
 }
 
@@ -500,7 +452,7 @@ func (r *Relay) sendFailed(m ioMessage, sp *span.Span) {
 // disabled group, or ForceGenericIO). Same processBatch as the shards.
 func (r *Relay) pump(dir simnet.Direction) {
 	io := r.readIO(dir)
-	ms := make([]ioMessage, r.batch)
+	ms := make([]ioMessage, DefaultBatch)
 	streak := 0
 	for {
 		n, err := io.ReadBatch(ms)
@@ -518,10 +470,9 @@ func (r *Relay) pump(dir simnet.Direction) {
 
 // drainQ releases whatever a closing relay still has queued.
 func (r *Relay) drainQ(q *sendQ) {
-	ms, sps := q.take(true)
+	ms := q.take(true)
 	for i := range ms {
-		sps[i].End()
 		putBuf(ms[i].buf)
 	}
-	q.give(ms, sps)
+	q.give(ms)
 }

@@ -180,7 +180,7 @@ func (sh *pumpShard) unregister(pe *pumpEnd) {
 func (sh *pumpShard) loop() {
 	defer close(sh.done)
 	events := make([]syscall.EpollEvent, 128)
-	ms := make([]ioMessage, sh.g.batch)
+	ms := make([]ioMessage, DefaultBatch)
 	// The wait callback is built once: a zero-timeout epoll_wait that
 	// parks the goroutine on the netpoller (return false) only when the
 	// set has nothing ready.

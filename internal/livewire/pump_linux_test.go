@@ -40,7 +40,10 @@ func shardLoopStates() []string {
 // TestPumpShardsParkInNetpoller pins where an idle shard waits: parked
 // on the runtime netpoller ("IO wait"), never inside a blocking
 // epoll_wait ("syscall"), which would hold an OS thread and its P and
-// leave due timers waiting for sysmon to retake it.
+// leave due timers waiting for sysmon to retake it. A loop that has just
+// sent the last echo passes briefly through its final sendmmsg and
+// zero-timeout epoll_wait, so the test waits for both loops to reach
+// "IO wait"; a loop blocked in epoll_wait stays in "syscall" and fails.
 func TestPumpShardsParkInNetpoller(t *testing.T) {
 	g := NewPumpGroup(PumpGroupConfig{Shards: 2})
 	target := echoServer(t)
@@ -61,25 +64,19 @@ func TestPumpShardsParkInNetpoller(t *testing.T) {
 		burstEcho(t, r, 16, 16)
 	}
 
-	var states []string
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		states = shardLoopStates()
+		states := shardLoopStates()
 		parked := len(states) == 2
 		for _, s := range states {
-			parked = parked && s != "running" && s != "runnable"
+			parked = parked && s == "IO wait"
 		}
 		if parked {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("shard loops never parked: %q", states)
+			t.Fatalf("idle shard loops are in states %q, want both in \"IO wait\"", states)
 		}
 		runtime.Gosched()
-	}
-	for _, s := range states {
-		if s != "IO wait" {
-			t.Fatalf("idle shard loop is in state %q, want \"IO wait\" (all: %q)", s, states)
-		}
 	}
 
 	// Closing the group wakes the parked loops at once; the relays are
@@ -91,7 +88,15 @@ func TestPumpShardsParkInNetpoller(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("PumpGroup.Close did not return with the shards parked")
 	}
-	if left := shardLoopStates(); len(left) != 0 {
-		t.Fatalf("shard loops still running after Close: %q", left)
+	// Close returns once each loop has signalled done from its deferred
+	// close; the goroutine itself is gone a moment later.
+	for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
+		left := shardLoopStates()
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("shard loops still running after Close: %q", left)
+		}
 	}
 }

@@ -5,25 +5,85 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tracemod/internal/core"
 	"tracemod/internal/modulation"
 	"tracemod/internal/replay"
-	"tracemod/internal/simnet"
 )
 
 // instantSubmitter delivers every packet immediately, in submit order —
 // a zero-delay shaper that isolates the data plane for tests and
-// benchmarks. It implements both Submitter and BatchSubmitter.
+// benchmarks.
 type instantSubmitter struct{}
-
-func (instantSubmitter) SubmitWithDrop(_ simnet.Direction, _ int, deliver, _ func()) { deliver() }
 
 func (instantSubmitter) SubmitBatch(subs []modulation.Submission) {
 	for i := range subs {
 		subs[i].Deliver()
+	}
+}
+
+// panicOnceSubmitter panics on its first burst, as a buggy shaper would,
+// and behaves like instantSubmitter afterwards.
+type panicOnceSubmitter struct{ panicked atomic.Bool }
+
+func (p *panicOnceSubmitter) SubmitBatch(subs []modulation.Submission) {
+	if p.panicked.CompareAndSwap(false, true) {
+		panic("submitter bug")
+	}
+	instantSubmitter{}.SubmitBatch(subs)
+}
+
+// TestRelaySurvivesPanickingSubmitter: a submitter that panics inside
+// SubmitBatch costs its burst, not the pump. The relay counts the panic
+// once and keeps forwarding, both on a PumpGroup shard and on the
+// per-relay pumps that ForceGenericIO selects.
+func TestRelaySurvivesPanickingSubmitter(t *testing.T) {
+	target := echoServer(t)
+	for _, tc := range []struct {
+		name    string
+		sharded bool
+	}{{"sharded", true}, {"generic", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := RelayOpts{ForceGenericIO: true}
+			if tc.sharded {
+				if !BatchIOSupported() {
+					t.Skip("batched socket I/O not supported on this platform")
+				}
+				g := NewPumpGroup(PumpGroupConfig{Shards: 1})
+				defer g.Close()
+				opts = RelayOpts{Group: g}
+			}
+			r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(), &panicOnceSubmitter{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Sharded() != tc.sharded {
+				t.Fatalf("Sharded() = %v, want %v", r.Sharded(), tc.sharded)
+			}
+			c := dialRelay(t, r)
+			if _, err := c.Write([]byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for r.Stats().SubmitPanics == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the panicking burst was never submitted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			burstEcho(t, r, 50, 8)
+			st := settledStats(t, r, 50)
+			if st.SubmitPanics != 1 {
+				t.Fatalf("SubmitPanics = %d, want 1", st.SubmitPanics)
+			}
+			if st.ClientToTarget != 50 || st.TargetToClient != 50 {
+				t.Fatalf("relayed %d/%d after the panic, want 50/50", st.ClientToTarget, st.TargetToClient)
+			}
+		})
 	}
 }
 
@@ -83,7 +143,7 @@ func TestRelayBurstSharded(t *testing.T) {
 	}
 	target := echoServer(t)
 	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0), Tick: -1, Seed: 1, Group: g,
+		Trace: constTrace(0, 0), Tick: -1, Seed: 1, RelayOpts: RelayOpts{Group: g},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +175,7 @@ func TestRelayBurstSharded(t *testing.T) {
 func TestRelayBurstGenericFallback(t *testing.T) {
 	target := echoServer(t)
 	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0), Tick: -1, Seed: 1, ForceGenericIO: true,
+		Trace: constTrace(0, 0), Tick: -1, Seed: 1, RelayOpts: RelayOpts{ForceGenericIO: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +422,7 @@ func TestRelayCloseMidBurst(t *testing.T) {
 			g = NewPumpGroup(PumpGroupConfig{Shards: 1})
 		}
 		r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-			Trace: constTrace(0, 0), Tick: -1, Seed: 1, Group: g,
+			Trace: constTrace(0, 0), Tick: -1, Seed: 1, RelayOpts: RelayOpts{Group: g},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -483,9 +543,9 @@ func BenchmarkLivewireThroughput(b *testing.B) {
 		}
 		g := NewPumpGroup(PumpGroupConfig{Shards: 2})
 		defer g.Close()
-		benchRelayThroughput(b, Config{Group: g})
+		benchRelayThroughput(b, Config{RelayOpts: RelayOpts{Group: g}})
 	})
 	b.Run("generic", func(b *testing.B) {
-		benchRelayThroughput(b, Config{ForceGenericIO: true})
+		benchRelayThroughput(b, Config{RelayOpts: RelayOpts{ForceGenericIO: true}})
 	})
 }

@@ -35,7 +35,7 @@ func TestRelaySurvivesRefusedTarget(t *testing.T) {
 
 	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
 		Trace: constTrace(time.Millisecond, 0), Tick: -1, Seed: 1,
-		Retry: faults.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond},
+		RelayOpts: RelayOpts{Retry: faults.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestRelayCloseInterruptsBackoff(t *testing.T) {
 
 	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
 		Trace: constTrace(time.Millisecond, 0), Tick: -1, Seed: 1,
-		Retry: faults.Backoff{Base: time.Hour, Max: time.Hour},
+		RelayOpts: RelayOpts{Retry: faults.Backoff{Base: time.Hour, Max: time.Hour}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -388,20 +388,14 @@ func (e *Engine) advance(now time.Duration) {
 	}
 }
 
-// Submit runs one packet of the given direction and size through the
-// layer. deliver is invoked when the packet should continue (possibly
-// immediately, from within Submit); dropped packets never continue.
-func (e *Engine) Submit(dir simnet.Direction, size int, deliver func()) {
-	e.submit(dir, size, nil, deliver, nil)
-}
-
-// SubmitWithDrop is Submit with an explicit loss outcome: exactly one of
-// deliver or drop runs for every packet. drop is invoked synchronously,
-// from within the call, when the packet loses the drop lottery — the
-// relay path uses it to return pooled buffers and count losses without
-// racing other submitters over aggregate counters.
+// SubmitWithDrop runs one packet of the given direction and size through
+// the layer: exactly one of deliver or drop runs for every packet.
+// deliver runs when the packet should continue (possibly immediately,
+// from within the call); drop runs synchronously, from within the call,
+// when the packet loses the drop lottery. drop may be nil (losses are
+// then silent, as on the simulator's hook path).
 func (e *Engine) SubmitWithDrop(dir simnet.Direction, size int, deliver, drop func()) {
-	e.submit(dir, size, nil, deliver, drop)
+	e.SubmitSpan(dir, size, nil, deliver, drop)
 }
 
 // SubmitSpan is SubmitWithDrop carrying the packet's span: the engine
@@ -411,11 +405,20 @@ func (e *Engine) SubmitWithDrop(dir simnet.Direction, size int, deliver, drop fu
 // the delivery timer fires. parent may be nil (unsampled packet) — the
 // path then behaves exactly like SubmitWithDrop.
 func (e *Engine) SubmitSpan(dir simnet.Direction, size int, parent *span.Span, deliver, drop func()) {
-	e.submit(dir, size, parent, deliver, drop)
+	sp := e.packetSpan(dir, size, parent)
+	e.mu.Lock()
+	sync, delay, arm := e.submitLocked(e.clock.Now(), dir, size, sp, deliver, drop)
+	e.mu.Unlock()
+	if sync != nil {
+		sync()
+	}
+	if arm != nil {
+		e.clock.AfterFunc(delay, arm)
+	}
 }
 
 // Submission is one packet of a SubmitBatch burst. Span may be nil
-// (unsampled); Drop may be nil (losses are then silent, as with Submit).
+// (unsampled); Drop may be nil (losses are then silent).
 type Submission struct {
 	Dir     simnet.Direction
 	Size    int
@@ -466,7 +469,7 @@ func (e *Engine) SubmitBatch(subs []Submission) {
 	} else {
 		outs = outs[:len(subs)]
 	}
-	// Span setup happens outside the lock, as in submit().
+	// Span setup happens outside the lock, as in SubmitSpan.
 	for i := range subs {
 		outs[i] = batchOutcome{sp: e.packetSpan(subs[i].Dir, subs[i].Size, subs[i].Span)}
 	}
@@ -507,19 +510,6 @@ func (e *Engine) packetSpan(dir simnet.Direction, size int, parent *span.Span) *
 		sp.Attr("size", int64(size))
 	}
 	return sp
-}
-
-func (e *Engine) submit(dir simnet.Direction, size int, parent *span.Span, deliver, drop func()) {
-	sp := e.packetSpan(dir, size, parent)
-	e.mu.Lock()
-	sync, delay, arm := e.submitLocked(e.clock.Now(), dir, size, sp, deliver, drop)
-	e.mu.Unlock()
-	if sync != nil {
-		sync()
-	}
-	if arm != nil {
-		e.clock.AfterFunc(delay, arm)
-	}
 }
 
 // submitLocked runs one packet's modulation decision under e.mu (held by
@@ -716,7 +706,7 @@ func (e *Engine) takeBatch() *tickBatch {
 
 // fireBatch delivers every packet coalesced onto one quantized instant, in
 // submission order, then recycles the batch. Callbacks run outside e.mu:
-// they re-enter the stack (and often Submit itself).
+// they re-enter the stack (and often submit again).
 func (e *Engine) fireBatch(target time.Duration) {
 	e.mu.Lock()
 	b := e.pending[target]
@@ -799,7 +789,7 @@ func roundToTick(t, tick time.Duration) time.Duration {
 // and outbound paths of the host under test.
 func Hook(e *Engine) simnet.Hook {
 	return simnet.HookFunc(func(dir simnet.Direction, ip []byte, next func([]byte)) {
-		e.Submit(dir, len(ip), func() { next(ip) })
+		e.SubmitWithDrop(dir, len(ip), func() { next(ip) }, nil)
 	})
 }
 

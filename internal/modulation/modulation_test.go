@@ -29,7 +29,7 @@ func TestDelayMatchesModel(t *testing.T) {
 	p := core.DelayParams{F: 5 * time.Millisecond, Vb: 1000, Vr: 500}
 	e := engine(s, constTrace(p, 0), Config{Tick: -1})
 	var deliveredAt sim.Time
-	e.Submit(simnet.Outbound, 1000, func() { deliveredAt = s.Now() })
+	e.SubmitWithDrop(simnet.Outbound, 1000, func() { deliveredAt = s.Now() }, nil)
 	s.Run()
 	want := p.Vb.Cost(1000) + p.F + p.Vr.Cost(1000) // 1ms + 5ms + 0.5ms
 	if deliveredAt.Duration() != want {
@@ -48,8 +48,8 @@ func TestUnifiedBottleneckQueue(t *testing.T) {
 	p := core.DelayParams{F: 10 * time.Millisecond, Vb: 1000, Vr: 0}
 	e := engine(s, constTrace(p, 0), Config{Tick: -1})
 	var first, second sim.Time
-	e.Submit(simnet.Outbound, 1000, func() { first = s.Now() })
-	e.Submit(simnet.Outbound, 1000, func() { second = s.Now() })
+	e.SubmitWithDrop(simnet.Outbound, 1000, func() { first = s.Now() }, nil)
+	e.SubmitWithDrop(simnet.Outbound, 1000, func() { second = s.Now() }, nil)
 	s.Run()
 	if first.Duration() != 11*time.Millisecond {
 		t.Fatalf("first = %v, want 11ms", first.Duration())
@@ -66,8 +66,8 @@ func TestInboundAndOutboundShareQueue(t *testing.T) {
 	p := core.DelayParams{F: 0, Vb: 1000, Vr: 0}
 	e := engine(s, constTrace(p, 0), Config{Tick: -1})
 	var in sim.Time
-	e.Submit(simnet.Outbound, 1000, func() {})
-	e.Submit(simnet.Inbound, 1000, func() { in = s.Now() })
+	e.SubmitWithDrop(simnet.Outbound, 1000, func() {}, nil)
+	e.SubmitWithDrop(simnet.Inbound, 1000, func() { in = s.Now() }, nil)
 	s.Run()
 	if in.Duration() != 2*time.Millisecond {
 		t.Fatalf("inbound = %v, want 2ms (queued behind outbound)", in.Duration())
@@ -80,14 +80,14 @@ func TestCompensationReducesInboundOnly(t *testing.T) {
 	comp := core.PerByte(400)
 	e := engine(s, constTrace(p, 0), Config{Tick: -1, Compensation: comp})
 	var out, in sim.Time
-	e.Submit(simnet.Outbound, 1000, func() { out = s.Now() })
+	e.SubmitWithDrop(simnet.Outbound, 1000, func() { out = s.Now() }, nil)
 	s.Run()
 	if out.Duration() != time.Millisecond {
 		t.Fatalf("outbound = %v, want full 1ms", out.Duration())
 	}
 	s2 := sim.New(1)
 	e2 := engine(s2, constTrace(p, 0), Config{Tick: -1, Compensation: comp})
-	e2.Submit(simnet.Inbound, 1000, func() { in = s2.Now() })
+	e2.SubmitWithDrop(simnet.Inbound, 1000, func() { in = s2.Now() }, nil)
 	s2.Run()
 	if in.Duration() != 600*time.Microsecond {
 		t.Fatalf("inbound = %v, want 0.6ms (Vb-comp)", in.Duration())
@@ -101,7 +101,7 @@ func TestCompensationFloorsAtZeroVb(t *testing.T) {
 	p := core.DelayParams{F: time.Millisecond, Vb: 100, Vr: 0}
 	e := engine(s, constTrace(p, 0), Config{Tick: -1, Compensation: 10000})
 	var in sim.Time
-	e.Submit(simnet.Inbound, 1000, func() { in = s.Now() })
+	e.SubmitWithDrop(simnet.Inbound, 1000, func() { in = s.Now() }, nil)
 	s.Run()
 	if in.Duration() != time.Millisecond {
 		t.Fatalf("inbound = %v, want F only", in.Duration())
@@ -115,11 +115,11 @@ func TestInboundExtraChargesBottleneck(t *testing.T) {
 	p := core.DelayParams{F: 0, Vb: 1000, Vr: 0}
 	e := engine(s, constTrace(p, 0), Config{Tick: -1, InboundExtra: 500})
 	var in, out sim.Time
-	e.Submit(simnet.Inbound, 1000, func() { in = s.Now() })
+	e.SubmitWithDrop(simnet.Inbound, 1000, func() { in = s.Now() }, nil)
 	s.Run()
 	s2 := sim.New(1)
 	e2 := engine(s2, constTrace(p, 0), Config{Tick: -1, InboundExtra: 500})
-	e2.Submit(simnet.Outbound, 1000, func() { out = s2.Now() })
+	e2.SubmitWithDrop(simnet.Outbound, 1000, func() { out = s2.Now() }, nil)
 	s2.Run()
 	if in.Duration() != 1500*time.Microsecond {
 		t.Fatalf("inbound = %v, want 1.5ms (Vb + extra)", in.Duration())
@@ -137,12 +137,12 @@ func TestCompensationCancelsInboundExtra(t *testing.T) {
 	cfg := Config{Tick: -1, InboundExtra: 500, Compensation: 500}
 	e := engine(s, constTrace(p, 0), cfg)
 	var in sim.Time
-	e.Submit(simnet.Inbound, 1000, func() { in = s.Now() })
+	e.SubmitWithDrop(simnet.Inbound, 1000, func() { in = s.Now() }, nil)
 	s.Run()
 	s2 := sim.New(1)
 	e2 := engine(s2, constTrace(p, 0), cfg)
 	var out sim.Time
-	e2.Submit(simnet.Outbound, 1000, func() { out = s2.Now() })
+	e2.SubmitWithDrop(simnet.Outbound, 1000, func() { out = s2.Now() }, nil)
 	s2.Run()
 	if in != out {
 		t.Fatalf("inbound %v != outbound %v with cancelling configuration", in.Duration(), out.Duration())
@@ -155,7 +155,7 @@ func TestTickQuantization(t *testing.T) {
 	p := core.DelayParams{F: 3 * time.Millisecond, Vb: 0, Vr: 0}
 	e := engine(s, constTrace(p, 0), Config{Tick: 10 * time.Millisecond})
 	immediate := false
-	e.Submit(simnet.Outbound, 100, func() { immediate = s.Now() == 0 })
+	e.SubmitWithDrop(simnet.Outbound, 100, func() { immediate = s.Now() == 0 }, nil)
 	s.Run()
 	if !immediate {
 		t.Fatal("3ms delay should send immediately at 10ms tick")
@@ -169,7 +169,7 @@ func TestTickQuantization(t *testing.T) {
 	p2 := core.DelayParams{F: 17 * time.Millisecond, Vb: 0, Vr: 0}
 	e2 := engine(s2, constTrace(p2, 0), Config{Tick: 10 * time.Millisecond})
 	var at sim.Time
-	e2.Submit(simnet.Outbound, 100, func() { at = s2.Now() })
+	e2.SubmitWithDrop(simnet.Outbound, 100, func() { at = s2.Now() }, nil)
 	s2.Run()
 	if at.Duration() != 20*time.Millisecond {
 		t.Fatalf("delivered at %v, want 20ms", at.Duration())
@@ -180,7 +180,7 @@ func TestTickQuantization(t *testing.T) {
 	p3 := core.DelayParams{F: 13 * time.Millisecond, Vb: 0, Vr: 0}
 	e3 := engine(s3, constTrace(p3, 0), Config{Tick: 10 * time.Millisecond})
 	var at3 sim.Time
-	e3.Submit(simnet.Outbound, 100, func() { at3 = s3.Now() })
+	e3.SubmitWithDrop(simnet.Outbound, 100, func() { at3 = s3.Now() }, nil)
 	s3.Run()
 	if at3.Duration() != 10*time.Millisecond {
 		t.Fatalf("delivered at %v, want 10ms", at3.Duration())
@@ -195,7 +195,7 @@ func TestDropLottery(t *testing.T) {
 	const n = 1000
 	s.Spawn("submitter", func(pr *sim.Proc) {
 		for i := 0; i < n; i++ {
-			e.Submit(simnet.Outbound, 100, func() { delivered++ })
+			e.SubmitWithDrop(simnet.Outbound, 100, func() { delivered++ }, nil)
 			pr.Sleep(time.Millisecond)
 		}
 	})
@@ -222,7 +222,7 @@ func TestDroppedPacketsStillConsumeBottleneck(t *testing.T) {
 	// Submit many; survivors' delivery times must be multiples of 1ms
 	// spaced by every prior submission (dropped or not).
 	for i := 0; i < 50; i++ {
-		e.Submit(simnet.Outbound, 1000, func() { deliveredAt = append(deliveredAt, s.Now().Duration()) })
+		e.SubmitWithDrop(simnet.Outbound, 1000, func() { deliveredAt = append(deliveredAt, s.Now().Duration()) }, nil)
 	}
 	s.Run()
 	for _, at := range deliveredAt {
@@ -249,7 +249,7 @@ func TestTupleProgressionOnSchedule(t *testing.T) {
 	e := engine(s, tr, Config{Tick: -1})
 	var at sim.Time
 	s.At(sim.Time(1500*time.Millisecond), func() {
-		e.Submit(simnet.Outbound, 10, func() { at = s.Now() })
+		e.SubmitWithDrop(simnet.Outbound, 10, func() { at = s.Now() }, nil)
 	})
 	s.Run()
 	if got := at.Duration() - 1500*time.Millisecond; got < 49*time.Millisecond {
@@ -266,7 +266,7 @@ func TestStarvedSourceHoldsCurrent(t *testing.T) {
 	e := engine(s, tr, Config{Tick: -1})
 	var at sim.Time
 	s.At(sim.Time(10*time.Second), func() {
-		e.Submit(simnet.Outbound, 10, func() { at = s.Now() })
+		e.SubmitWithDrop(simnet.Outbound, 10, func() { at = s.Now() }, nil)
 	})
 	s.Run()
 	if got := at.Duration() - 10*time.Second; got != 30*time.Millisecond {
@@ -278,7 +278,7 @@ func TestNoTuplesPassesThrough(t *testing.T) {
 	s := sim.New(1)
 	e := engine(s, nil, Config{Tick: -1})
 	done := false
-	e.Submit(simnet.Outbound, 10, func() { done = s.Now() == 0 })
+	e.SubmitWithDrop(simnet.Outbound, 10, func() { done = s.Now() == 0 }, nil)
 	s.Run()
 	if !done {
 		t.Fatal("with no tuples traffic must pass unmodulated")
@@ -344,7 +344,7 @@ func TestStartDaemonFeedsEngine(t *testing.T) {
 	s.Spawn("traffic", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
 			at := p.Now()
-			e.Submit(simnet.Outbound, 100, func() { delays = append(delays, s.Now().Sub(at)) })
+			e.SubmitWithDrop(simnet.Outbound, 100, func() { delays = append(delays, s.Now().Sub(at)) }, nil)
 			p.Sleep(time.Second)
 		}
 	})
@@ -407,7 +407,7 @@ func TestNilRNGFallsBackToDefaultSeed(t *testing.T) {
 		var out []bool
 		for i := 0; i < 200; i++ {
 			delivered := false
-			e.Submit(simnet.Outbound, 500, func() { delivered = true })
+			e.SubmitWithDrop(simnet.Outbound, 500, func() { delivered = true }, nil)
 			s.Run()
 			out = append(out, !delivered)
 		}

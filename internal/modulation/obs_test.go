@@ -26,7 +26,7 @@ func submitOnce(t *testing.T, f time.Duration) ([]obs.Event, time.Duration) {
 	tracer := obs.NewRingTracer(64)
 	e := NewEngine(SimClock{S: s}, &SliceSource{Trace: tr}, Config{Tick: 10 * time.Millisecond, Tracer: tracer})
 	deliveredAt := time.Duration(-1)
-	e.Submit(simnet.Outbound, 100, func() { deliveredAt = s.Now().Duration() })
+	e.SubmitWithDrop(simnet.Outbound, 100, func() { deliveredAt = s.Now().Duration() }, nil)
 	s.RunUntil(sim.Time(time.Second))
 	return tracer.Snapshot(), deliveredAt
 }
@@ -135,7 +135,7 @@ func TestEngineMetricsExport(t *testing.T) {
 	p := core.DelayParams{F: 20 * time.Millisecond, Vb: 1000}
 	e := NewEngine(SimClock{S: s}, &SliceSource{Trace: constTrace(p, 0)}, Config{Metrics: reg})
 	for i := 0; i < 5; i++ {
-		e.Submit(simnet.Outbound, 1000, func() {})
+		e.SubmitWithDrop(simnet.Outbound, 1000, func() {}, nil)
 	}
 	// Mid-flight: all five packets occupy the bottleneck (1 ms each,
 	// nothing has drained yet at virtual time 0).
@@ -168,10 +168,10 @@ func TestDropsAttributedToTuple(t *testing.T) {
 		{D: time.Hour, DelayParams: core.DelayParams{F: time.Millisecond}, L: 1},
 	}
 	e := NewEngine(SimClock{S: s}, &SliceSource{Trace: tr}, Config{Tick: -1, Metrics: reg})
-	e.Submit(simnet.Outbound, 100, func() {})
+	e.SubmitWithDrop(simnet.Outbound, 100, func() {}, nil)
 	s.RunUntil(sim.Time(2 * time.Second)) // cross into tuple 2
 	for i := 0; i < 3; i++ {
-		e.Submit(simnet.Outbound, 100, func() {})
+		e.SubmitWithDrop(simnet.Outbound, 100, func() {}, nil)
 	}
 	s.RunUntil(sim.Time(3 * time.Second))
 	out := reg.PrometheusString()
@@ -194,7 +194,7 @@ func TestEqualSeedsGiveIdenticalDropSequences(t *testing.T) {
 		var b strings.Builder
 		for i := 0; i < 300; i++ {
 			delivered := false
-			e.Submit(simnet.Outbound, 100, func() { delivered = true })
+			e.SubmitWithDrop(simnet.Outbound, 100, func() { delivered = true }, nil)
 			s.Run()
 			if delivered {
 				b.WriteByte('.')
@@ -222,7 +222,7 @@ func TestCompensationEventCarriesAdjustment(t *testing.T) {
 	p := core.DelayParams{F: time.Millisecond, Vb: 1000}
 	e := NewEngine(SimClock{S: s}, &SliceSource{Trace: constTrace(p, 0)},
 		Config{Tick: -1, Compensation: 400, Tracer: tracer})
-	e.Submit(simnet.Inbound, 1000, func() {})
+	e.SubmitWithDrop(simnet.Inbound, 1000, func() {}, nil)
 	// Bounded run: s.Run would walk the whole hour-long trace and flood
 	// the small event ring with tuple switches.
 	s.RunUntil(sim.Time(100 * time.Millisecond))
