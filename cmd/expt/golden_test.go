@@ -15,9 +15,14 @@ import (
 	"tracemod/internal/expt"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden_seed1997.txt from the current output")
+var update = flag.Bool("update", false, "rewrite testdata/golden_seed1997.txt and testdata/golden_seed1997/ from the current output")
 
-const goldenPath = "testdata/golden_seed1997.txt"
+const (
+	goldenPath = "testdata/golden_seed1997.txt"
+	// goldenTextDir holds each section's rendered text beside its hash,
+	// so a mismatch can name the lines that moved.
+	goldenTextDir = "testdata/golden_seed1997"
+)
 
 // goldenOptions is `expt -run all -seed 1997 -trials 1 -ftp-mb 1`.
 func goldenOptions() expt.Options {
@@ -32,7 +37,9 @@ func goldenOptions() expt.Options {
 // TestGoldenFigures pins every figure and ablation of the reproduction:
 // each section `expt -run all` prints (less its "generated in" timing
 // header) must hash to the committed SHA-256. A change that moves any
-// number in EXPERIMENTS.md fails here; regenerate deliberately with
+// number in EXPERIMENTS.md fails here, printing a line diff against the
+// section's committed text in testdata/golden_seed1997/<id>.txt (the hash
+// stays the authority). Regenerate both deliberately with
 //
 //	go test ./cmd/expt -run TestGoldenFigures -update
 func TestGoldenFigures(t *testing.T) {
@@ -65,6 +72,14 @@ func TestGoldenFigures(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.MkdirAll(goldenTextDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range allIDs {
+			if err := os.WriteFile(filepath.Join(goldenTextDir, id+".txt"), []byte(outs[id]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return
 	}
 
@@ -76,7 +91,7 @@ func TestGoldenFigures(t *testing.T) {
 			continue
 		}
 		if got[id] != w {
-			t.Errorf("%s: output hashes to %s, golden %s; output:\n%s", id, got[id], w, outs[id])
+			t.Errorf("%s: output hashes to %s, golden %s; %s", id, got[id], w, goldenDiff(id, outs[id]))
 		}
 	}
 	for id := range want {
@@ -110,4 +125,56 @@ func readGolden(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	return want
+}
+
+// goldenDiff describes how out departs from the committed text of section
+// id: a line diff, or the whole output when there is no text to diff
+// against.
+func goldenDiff(id, out string) string {
+	want, err := os.ReadFile(filepath.Join(goldenTextDir, id+".txt"))
+	if err != nil {
+		return fmt.Sprintf("no committed text (%v); output:\n%s", err, out)
+	}
+	if string(want) == out {
+		return "the committed text matches the output, so the hash file is stale (run with -update)"
+	}
+	return "diff against the committed text (-want +got):\n" + lineDiff(string(want), out)
+}
+
+// lineDiff is a longest-common-subsequence line diff of a and b that
+// prints only the changed lines, each with its line number in a (-) or
+// b (+).
+func lineDiff(a, b string) string {
+	x := strings.Split(a, "\n")
+	y := strings.Split(b, "\n")
+	// lcs[i][j] is the LCS length of x[i:] and y[j:].
+	lcs := make([][]int, len(x)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(y)+1)
+	}
+	for i := len(x) - 1; i >= 0; i-- {
+		for j := len(y) - 1; j >= 0; j-- {
+			if x[i] == y[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else {
+				lcs[i][j] = max(lcs[i+1][j], lcs[i][j+1])
+			}
+		}
+	}
+	var d strings.Builder
+	i, j := 0, 0
+	for i < len(x) || j < len(y) {
+		switch {
+		case i < len(x) && j < len(y) && x[i] == y[j]:
+			i++
+			j++
+		case i < len(x) && (j == len(y) || lcs[i+1][j] >= lcs[i][j+1]):
+			fmt.Fprintf(&d, "-%4d %s\n", i+1, x[i])
+			i++
+		default:
+			fmt.Fprintf(&d, "+%4d %s\n", j+1, y[j])
+			j++
+		}
+	}
+	return d.String()
 }
