@@ -514,6 +514,21 @@ func BenchmarkSimTCPTransfer(b *testing.B) {
 	}
 }
 
+// BenchmarkSimProcSwitch measures one simulated process handoff: a Sleep
+// parks the process and its wakeup event switches back into it, so each
+// op is one park/unpark pair through the scheduler's event loop.
+func BenchmarkSimProcSwitch(b *testing.B) {
+	s := sim.New(1)
+	s.Spawn("sleeper", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
 // BenchmarkCollection measures a full collection traversal (pinger +
 // tracer + daemon) of the Wean scenario.
 func BenchmarkCollection(b *testing.B) {

@@ -130,7 +130,6 @@ func RunAndrew(p *sim.Proc, c *Client, tree Tree, cfg AndrewConfig) (PhaseTimes,
 	// Phase 2: Copy — copy every source file into the tree.
 	mark := p.Now()
 	fileFH := make([]uint32, len(tree.Files))
-	fileData := make([][]byte, len(tree.Files))
 	for i, f := range tree.Files {
 		a, err := c.Create(p, dirFH[f.Dir], f.Name)
 		if err != nil {
@@ -141,7 +140,6 @@ func RunAndrew(p *sim.Proc, c *Client, tree Tree, cfg AndrewConfig) (PhaseTimes,
 		for j := range data {
 			data[j] = byte('a' + (i+j)%26)
 		}
-		fileData[i] = data
 		if err := c.WriteFile(p, a.FH, data); err != nil {
 			return pt, fmt.Errorf("andrew write %s: %w", f.Name, err)
 		}

@@ -129,12 +129,13 @@ func (srv *Server) loop(p *sim.Proc) {
 			return
 		}
 		if resp := srv.handle(dg.Data); resp != nil {
-			srv.sock.SendTo(dg.From, dg.FromPort, resp)
+			srv.sock.SendDatagram(dg.From, dg.FromPort, resp)
 		}
 	}
 }
 
-// handle services one call; requests are idempotent so duplicate
+// handle services one call and returns the reply built in place in a
+// transport.NewDatagram buffer; requests are idempotent so duplicate
 // retransmissions are harmless.
 func (srv *Server) handle(req []byte) []byte {
 	if len(req) < 6 || req[4] != msgCall {
@@ -147,18 +148,24 @@ func (srv *Server) handle(req []byte) []byte {
 		srv.Calls[proc]++
 	}
 
-	reply := func(status uint8, payload []byte) []byte {
-		out := make([]byte, 6+len(payload))
+	// message returns a reply datagram with room for n payload bytes
+	// after the 6-byte header.
+	message := func(status uint8, n int) (buf, payload []byte) {
+		buf, out := transport.NewDatagram(6 + n)
 		binary.BigEndian.PutUint32(out[0:4], xid)
 		out[4] = msgReply
 		out[5] = status
-		copy(out[6:], payload)
-		return out
+		return buf, out[6:]
+	}
+	reply := func(status uint8, payload []byte) []byte {
+		buf, out := message(status, len(payload))
+		copy(out, payload)
+		return buf
 	}
 	attrReply := func(a Attr) []byte {
-		b := make([]byte, attrLen)
-		putAttr(b, a)
-		return reply(statOK, b)
+		buf, out := message(statOK, attrLen)
+		putAttr(out, a)
+		return buf
 	}
 
 	switch proc {
@@ -327,11 +334,9 @@ func (srv *Server) handle(req []byte) []byte {
 		}
 		var out []byte
 		for name, fh := range n.children {
-			entry := make([]byte, 5+len(name))
-			binary.BigEndian.PutUint32(entry[0:4], fh)
-			entry[4] = uint8(len(name))
-			copy(entry[5:], name)
-			out = append(out, entry...)
+			out = binary.BigEndian.AppendUint32(out, fh)
+			out = append(out, uint8(len(name)))
+			out = append(out, name...)
 			if len(out) > transport.MaxDatagram-64 {
 				break // directory listing truncation, as real READDIR pages
 			}
@@ -410,8 +415,7 @@ func NewClient(s *sim.Scheduler, stack *transport.UDPStack, server packet.IPAddr
 	}, nil
 }
 
-// WriteFile writes data through to the server in BlockSize chunks, keeping
-// up to MaxOutstanding RPCs in flight, and updates the local data cache.
+// writeWindowed is WriteFile keeping up to MaxOutstanding RPCs in flight.
 func (c *Client) writeWindowed(p *sim.Proc, fh uint32, data []byte) error {
 	type job struct{ off, end int }
 	var jobs []job
@@ -453,12 +457,8 @@ func (c *Client) writeWindowed(p *sim.Proc, fh uint32, data []byte) error {
 				j := jobs[next]
 				next++
 				chunk := data[j.off:j.end]
-				body := make([]byte, 10+len(chunk))
-				binary.BigEndian.PutUint32(body[0:4], fh)
-				binary.BigEndian.PutUint32(body[4:8], uint32(j.off))
-				binary.BigEndian.PutUint16(body[8:10], uint16(len(chunk)))
-				copy(body[10:], chunk)
-				status, _, err := biod.call(wp, procWrite, body)
+				args := ioArgs(fh, j.off, len(chunk))
+				status, _, err := biod.call(wp, procWrite, args[:], chunk)
 				if err == nil {
 					err = statusErr(status)
 				}
@@ -472,28 +472,30 @@ func (c *Client) writeWindowed(p *sim.Proc, fh uint32, data []byte) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	c.dataCache[fh] = append([]byte(nil), data...)
+	c.dataCache[fh] = data
 	return nil
 }
 
 // call performs one RPC with hard-mount retry semantics: an initial 700 ms
-// timeout backing off to a 10 s cap, retrying until answered.
-func (c *Client) call(p *sim.Proc, proc uint8, body []byte) (uint8, []byte, error) {
+// timeout backing off to a 10 s cap, retrying until answered. The call
+// message is the 6-byte header, args, then data, written straight into
+// the datagram. A sent datagram belongs to the network, so each attempt
+// builds its own from args and data, which stay the caller's.
+func (c *Client) call(p *sim.Proc, proc uint8, args, data []byte) (uint8, []byte, error) {
 	c.xid++
 	xid := c.xid
-	req := make([]byte, 6+len(body))
-	binary.BigEndian.PutUint32(req[0:4], xid)
-	req[4] = msgCall
-	req[5] = proc
-	copy(req[6:], body)
-
 	timeout := 700 * time.Millisecond
 	c.RPCs++
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.Retransmits++
 		}
-		c.sock.SendTo(c.server, Port, req)
+		buf, req := transport.NewDatagram(6 + len(args) + len(data))
+		binary.BigEndian.PutUint32(req[0:4], xid)
+		req[4] = msgCall
+		req[5] = proc
+		copy(req[6+copy(req[6:], args):], data)
+		c.sock.SendDatagram(c.server, Port, buf)
 		deadline := p.Now().Add(timeout)
 		for {
 			remaining := deadline.Sub(p.Now())
@@ -532,9 +534,19 @@ func statusErr(status uint8) error {
 	}
 }
 
-func fhBody(fh uint32) []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, fh)
+// fhArgs encodes a file-handle argument.
+func fhArgs(fh uint32) [4]byte {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], fh)
+	return b
+}
+
+// ioArgs encodes READ and WRITE arguments: fh, offset, count.
+func ioArgs(fh uint32, off, count int) [10]byte {
+	var b [10]byte
+	binary.BigEndian.PutUint32(b[0:4], fh)
+	binary.BigEndian.PutUint32(b[4:8], uint32(off))
+	binary.BigEndian.PutUint16(b[8:10], uint16(count))
 	return b
 }
 
@@ -555,7 +567,8 @@ func (c *Client) Getattr(p *sim.Proc, fh uint32) (Attr, error) {
 		c.CacheHits++
 		return ca.attr, nil
 	}
-	status, body, err := c.call(p, procGetattr, fhBody(fh))
+	args := fhArgs(fh)
+	status, body, err := c.call(p, procGetattr, args[:], nil)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -572,7 +585,7 @@ func (c *Client) Getattr(p *sim.Proc, fh uint32) (Attr, error) {
 
 // Lookup resolves name within dir.
 func (c *Client) Lookup(p *sim.Proc, dir uint32, name string) (Attr, error) {
-	status, body, err := c.call(p, procLookup, nameBody(dir, name))
+	status, body, err := c.call(p, procLookup, nameBody(dir, name), nil)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -588,7 +601,7 @@ func (c *Client) Lookup(p *sim.Proc, dir uint32, name string) (Attr, error) {
 }
 
 func (c *Client) makeNode(p *sim.Proc, proc uint8, dir uint32, name string) (Attr, error) {
-	status, body, err := c.call(p, proc, nameBody(dir, name))
+	status, body, err := c.call(p, proc, nameBody(dir, name), nil)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -615,7 +628,8 @@ func (c *Client) Create(p *sim.Proc, dir uint32, name string) (Attr, error) {
 
 // WriteFile writes data through to the server in BlockSize chunks and
 // updates the local data cache. With MaxOutstanding > 1 blocks go out
-// concurrently (write-behind).
+// concurrently (write-behind). The cache keeps data itself, not a copy:
+// the caller hands data over and must not modify it afterwards.
 func (c *Client) WriteFile(p *sim.Proc, fh uint32, data []byte) error {
 	if c.MaxOutstanding > 1 && len(data) > BlockSize {
 		return c.writeWindowed(p, fh, data)
@@ -626,12 +640,8 @@ func (c *Client) WriteFile(p *sim.Proc, fh uint32, data []byte) error {
 			end = len(data)
 		}
 		chunk := data[off:end]
-		body := make([]byte, 10+len(chunk))
-		binary.BigEndian.PutUint32(body[0:4], fh)
-		binary.BigEndian.PutUint32(body[4:8], uint32(off))
-		binary.BigEndian.PutUint16(body[8:10], uint16(len(chunk)))
-		copy(body[10:], chunk)
-		status, reply, err := c.call(p, procWrite, body)
+		args := ioArgs(fh, off, len(chunk))
+		status, reply, err := c.call(p, procWrite, args[:], chunk)
 		if err != nil {
 			return err
 		}
@@ -643,7 +653,7 @@ func (c *Client) WriteFile(p *sim.Proc, fh uint32, data []byte) error {
 			c.attrCache[fh] = cachedAttr{attr: a, at: p.Now()}
 		}
 	}
-	c.dataCache[fh] = append([]byte(nil), data...)
+	c.dataCache[fh] = data
 	return nil
 }
 
@@ -666,11 +676,8 @@ func (c *Client) ReadFile(p *sim.Proc, fh uint32) ([]byte, error) {
 		if count > BlockSize {
 			count = BlockSize
 		}
-		body := make([]byte, 10)
-		binary.BigEndian.PutUint32(body[0:4], fh)
-		binary.BigEndian.PutUint32(body[4:8], uint32(off))
-		binary.BigEndian.PutUint16(body[8:10], uint16(count))
-		status, reply, err := c.call(p, procRead, body)
+		args := ioArgs(fh, off, count)
+		status, reply, err := c.call(p, procRead, args[:], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -691,7 +698,8 @@ type DirEntry struct {
 
 // Readdir lists a directory.
 func (c *Client) Readdir(p *sim.Proc, dir uint32) ([]DirEntry, error) {
-	status, body, err := c.call(p, procReaddir, fhBody(dir))
+	args := fhArgs(dir)
+	status, body, err := c.call(p, procReaddir, args[:], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -713,7 +721,7 @@ func (c *Client) Readdir(p *sim.Proc, dir uint32) ([]DirEntry, error) {
 
 // Remove deletes a name from a directory (and any cache entries for it).
 func (c *Client) Remove(p *sim.Proc, dir uint32, name string) error {
-	status, _, err := c.call(p, procRemove, nameBody(dir, name))
+	status, _, err := c.call(p, procRemove, nameBody(dir, name), nil)
 	if err != nil {
 		return err
 	}
@@ -722,8 +730,7 @@ func (c *Client) Remove(p *sim.Proc, dir uint32, name string) error {
 
 // Rename moves a name between directories.
 func (c *Client) Rename(p *sim.Proc, fromDir uint32, fromName string, toDir uint32, toName string) error {
-	body := append(nameBody(fromDir, fromName), nameBody(toDir, toName)...)
-	status, _, err := c.call(p, procRename, body)
+	status, _, err := c.call(p, procRename, nameBody(fromDir, fromName), nameBody(toDir, toName))
 	if err != nil {
 		return err
 	}
@@ -733,10 +740,10 @@ func (c *Client) Rename(p *sim.Proc, fromDir uint32, fromName string, toDir uint
 // Truncate sets a file's size, extending with zeros or discarding the
 // tail, and refreshes the attribute cache.
 func (c *Client) Truncate(p *sim.Proc, fh uint32, size uint32) (Attr, error) {
-	body := make([]byte, 8)
-	binary.BigEndian.PutUint32(body[0:4], fh)
-	binary.BigEndian.PutUint32(body[4:8], size)
-	status, reply, err := c.call(p, procSetattr, body)
+	var args [8]byte
+	binary.BigEndian.PutUint32(args[0:4], fh)
+	binary.BigEndian.PutUint32(args[4:8], size)
+	status, reply, err := c.call(p, procSetattr, args[:], nil)
 	if err != nil {
 		return Attr{}, err
 	}

@@ -438,3 +438,38 @@ func TestWindowedWriteFaster(t *testing.T) {
 		t.Fatalf("windowed %v should beat serial %v", windowed, serial)
 	}
 }
+
+// TestNFSWriteRPCAllocs counts the allocations of one 1 KiB WRITE RPC,
+// client and server together, over the test Ethernet. Each message is
+// written once, straight into its datagram: no request, body or reply
+// copies.
+func TestNFSWriteRPCAllocs(t *testing.T) {
+	s, c, _ := setup(t, 21)
+	var fh uint32
+	s.Spawn("create", func(p *sim.Proc) {
+		f, err := c.Create(p, RootFH, "f")
+		if err != nil {
+			t.Errorf("create: %v", err)
+		}
+		fh = f.FH
+	})
+	s.RunUntil(sim.Time(time.Second))
+	data := make([]byte, BlockSize)
+	const rpcs = 256
+	allocs := testing.AllocsPerRun(1, func() {
+		s.Spawn("writer", func(p *sim.Proc) {
+			for i := 0; i < rpcs; i++ {
+				if err := c.WriteFile(p, fh, data); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+			}
+		})
+		s.RunUntil(s.Now().Add(time.Hour))
+	}) / rpcs
+	s.Close()
+	t.Logf("%.2f allocs per WRITE RPC", allocs)
+	if allocs > 8 {
+		t.Errorf("one WRITE RPC allocates %.2f, ceiling 8", allocs)
+	}
+}

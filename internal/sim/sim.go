@@ -1,13 +1,17 @@
 // Package sim provides a deterministic virtual-time simulation kernel.
 //
 // The kernel combines an event heap with cooperatively scheduled processes.
-// Processes are ordinary goroutines, but exactly one of them (or the
+// Processes are coroutines (iter.Pull), so exactly one of them (or the
 // scheduler itself) runs at any instant: when a process blocks on a kernel
-// primitive (Sleep, channel operations, Wait) control is handed back to the
-// scheduler with a strict channel handoff. Events with equal timestamps fire
-// in the order they were scheduled. Together these rules make every run
+// primitive (Sleep, channel operations, Wait) it switches straight back to
+// the scheduler, and a wakeup event switches straight into it, without a
+// trip through the Go scheduler. Events with equal timestamps fire in the
+// order they were scheduled. Together these rules make every run
 // bit-reproducible for a given seed, which is the property the trace
 // modulation methodology exists to provide.
+//
+// A panic inside a process ends that process and surfaces at the caller of
+// Run or RunUntil, which may recover it like any other panic.
 //
 // A bounded run usually ends with processes still parked (servers waiting
 // for requests, daemons waiting for buffer space). Close unwinds them and
@@ -16,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -76,18 +81,13 @@ type Scheduler struct {
 	seed   int64
 	rngs   map[string]*rand.Rand // memoized per-component streams
 
-	// parked is signalled by a running process when it blocks or exits,
-	// returning control to the scheduler. It is unbuffered so the handoff
-	// is strict.
-	parked chan struct{}
-
 	live    []*Proc // processes spawned and not yet exited
 	stopped bool
 }
 
 // New returns a scheduler whose RNG streams derive from seed.
 func New(seed int64) *Scheduler {
-	return &Scheduler{seed: seed, parked: make(chan struct{})}
+	return &Scheduler{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -364,13 +364,16 @@ func (s *Scheduler) Pending() int { return len(s.events) - s.dead }
 func (s *Scheduler) Procs() int { return len(s.live) }
 
 // Proc is a cooperatively scheduled simulated process. All Proc methods must
-// be called from the process's own goroutine.
+// be called from the process itself.
 type Proc struct {
-	s       *Scheduler
-	name    string
-	resume  chan struct{}
+	s    *Scheduler
+	name string
+	// next resumes the process coroutine until it parks or exits; yield,
+	// called by the process, switches back to whoever called next.
+	next    func() (struct{}, bool)
+	yield   func(struct{}) bool
 	done    bool
-	started bool // the goroutine exists (its start event has run)
+	started bool // the coroutine exists (its start event has run)
 	killed  bool // set by Close: the next park unwinds the process
 	slot    int  // index in s.live while the process is alive
 	// unparkFn caches the unpark method value so hot primitives (Sleep,
@@ -391,29 +394,28 @@ func (p *Proc) Now() Time { return p.s.now }
 // Spawn creates a process executing fn. fn starts at the current virtual
 // time, after already-queued events at this instant.
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{s: s, name: name, resume: make(chan struct{}), slot: len(s.live)}
+	p := &Proc{s: s, name: name, slot: len(s.live)}
 	p.unparkFn = p.unpark
 	s.live = append(s.live, p)
 	s.At(s.now, func() {
 		p.started = true
-		go p.main(fn)
-		p.unparkLocked()
+		// The coroutine runs fn and ends when fn returns, is unwound by
+		// Close, or panics; iter.Pull carries a panic out through next.
+		// Its stop function is not needed: Close ends a parked process
+		// by resuming it into the killed unwind.
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer p.exit()
+			p.run(fn)
+		})
+		p.unpark()
 	})
 	return p
 }
 
-// main is the process goroutine: it waits for its first resume, runs fn,
-// and hands control back to the scheduler when fn returns or is unwound
-// by Close.
-func (p *Proc) main(fn func(p *Proc)) {
-	<-p.resume
-	p.run(fn)
-	p.exit()
-	p.s.parked <- struct{}{}
-}
-
 // run calls fn, absorbing the unwind Close starts. Any other panic
-// propagates and crashes the program, as in an ordinary goroutine.
+// propagates out of the coroutine to whoever resumed it: the caller of
+// Run or RunUntil.
 func (p *Proc) run(fn func(p *Proc)) {
 	defer func() {
 		if !p.killed {
@@ -440,7 +442,7 @@ func (p *Proc) exit() {
 }
 
 // killed is the panic value Close uses to unwind a parked process. The
-// process wrapper recovers it; it never escapes the process goroutine.
+// process wrapper recovers it; it never escapes the process coroutine.
 type killed struct{}
 
 // Done reports whether the process function has returned.
@@ -454,18 +456,17 @@ func (p *Proc) park() {
 	if p.killed {
 		panic(killed{})
 	}
-	p.s.parked <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killed{})
 	}
 }
 
 // Close ends the simulation: it unwinds every live process and drops every
-// pending event, releasing the goroutines and everything the simulated
-// world still references. A bounded run (RunUntil) typically leaves
-// servers and daemons parked forever; without Close each one pins its
-// goroutine and, through it, the whole world it ran in.
+// pending event, releasing the process coroutines and everything the
+// simulated world still references. A bounded run (RunUntil) typically
+// leaves servers and daemons parked forever; without Close each one pins
+// its coroutine and, through it, the whole world it ran in.
 //
 // A process unwound by Close runs its deferred calls, but any attempt to
 // block again (Sleep, a channel operation, Wait) unwinds it at once. Close
@@ -477,23 +478,18 @@ func (s *Scheduler) Close() {
 		p := s.live[len(s.live)-1]
 		p.killed = true
 		if p.started {
-			p.unparkLocked() // returns once the goroutine has exited
+			p.unpark() // returns once the coroutine has exited
 		} else {
-			p.exit() // its start event never ran: there is no goroutine
+			p.exit() // its start event never ran: there is no coroutine
 		}
 	}
 	s.events, s.free, s.dead = nil, nil, 0
 }
 
-// unpark resumes p and waits until it parks again or exits. It must be
-// called from scheduler context (inside an event callback), never from
-// another process.
-func (p *Proc) unpark() { p.unparkLocked() }
-
-func (p *Proc) unparkLocked() {
-	p.resume <- struct{}{}
-	<-p.s.parked
-}
+// unpark switches into p and returns once it parks again or exits. It
+// must be called from scheduler context (inside an event callback), never
+// from another process.
+func (p *Proc) unpark() { p.next() }
 
 // Sleep suspends the process for d of virtual time. Non-positive durations
 // yield to other events scheduled at the current instant.
@@ -695,7 +691,7 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 	}
 	w := &waiter[T]{p: p}
 	c.recvW = append(c.recvW, w)
-	c.s.After(d, func() {
+	deadline := c.s.AfterTimer(d, func() {
 		if w.done {
 			return
 		}
@@ -703,6 +699,8 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 		c.s.At(c.s.now, p.unparkFn)
 	})
 	p.park()
+	// A wait the value ended leaves no dead deadline in the heap.
+	deadline.Stop()
 	if w.timedOut && w.done {
 		// Value arrived in the same instant the timer fired and was
 		// delivered first; prefer the value.

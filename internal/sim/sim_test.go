@@ -190,6 +190,38 @@ func TestChanRecvTimeout(t *testing.T) {
 	}
 }
 
+func TestRecvTimeoutSatisfiedLeavesNoTimer(t *testing.T) {
+	// A ticker keeps exactly one event pending, so a satisfied wait that
+	// cancels its deadline finds the pending count it started with.
+	s := New(1)
+	c := NewChan[int](s, 1)
+	var tick func()
+	tick = func() {
+		c.TrySend(1)
+		s.After(100, tick)
+	}
+	s.At(100, tick)
+	var timedOut, got bool
+	before, after := -1, -2
+	s.Spawn("recv", func(p *Proc) {
+		_, _, timedOut = c.RecvTimeout(p, 10)
+		before = s.Pending()
+		_, ok, to := c.RecvTimeout(p, time.Hour)
+		got = ok && !to
+		after = s.Pending()
+	})
+	s.RunUntil(1000)
+	if !timedOut {
+		t.Fatal("a wait with no value must still report timedOut")
+	}
+	if !got {
+		t.Fatal("second wait should have received the ticker's value")
+	}
+	if after != before {
+		t.Fatalf("pending events after a satisfied wait = %d, before = %d: the deadline was left behind", after, before)
+	}
+}
+
 func TestChanRecvTimeoutZero(t *testing.T) {
 	s := New(1)
 	c := NewChan[int](s, 1)
@@ -701,4 +733,43 @@ func TestProcessPanicStillPropagates(t *testing.T) {
 		}
 	}()
 	p.run(func(*Proc) { panic("boom") })
+}
+
+func TestProcessPanicSurfacesAtRun(t *testing.T) {
+	// A process coroutine carries a genuine panic out to the caller of
+	// RunUntil, and the process leaves the live set.
+	s := New(1)
+	s.Spawn("bomb", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.RunUntil(Time(time.Minute))
+	}()
+	if got != "boom" {
+		t.Fatalf("RunUntil's caller recovered %v, want boom", got)
+	}
+	if s.Procs() != 0 {
+		t.Fatalf("procs after the panic = %d, want 0", s.Procs())
+	}
+	s.Close()
+}
+
+// TestProcSwitchAllocs pins the coroutine handoff: once the event pool is
+// warm, a Sleep and its wakeup allocate nothing.
+func TestProcSwitchAllocs(t *testing.T) {
+	s := New(1)
+	s.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	s.RunFor(time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() { s.RunFor(time.Microsecond) })
+	s.Close()
+	if allocs != 0 {
+		t.Fatalf("a Sleep/wake round trip allocates %v, want 0", allocs)
+	}
 }

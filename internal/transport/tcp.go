@@ -930,13 +930,28 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 // the peer closes (io-style: remaining data first, then ErrClosed), or the
 // connection fails.
 func (c *Conn) Read(p *sim.Proc, max int) ([]byte, error) {
+	return c.readAppend(p, nil, max)
+}
+
+// ReadFull reads exactly n bytes unless the connection ends first, in which
+// case it returns the bytes received so far with Read's error.
+func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		var err error
+		if out, err = c.readAppend(p, out, n-len(out)); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// readAppend is Read appending straight from the receive buffer to out.
+func (c *Conn) readAppend(p *sim.Proc, out []byte, max int) ([]byte, error) {
 	for {
 		if len(c.recvBuf) > 0 {
-			n := len(c.recvBuf)
-			if n > max {
-				n = max
-			}
-			out := append([]byte(nil), c.recvBuf[:n]...)
+			n := min(len(c.recvBuf), max)
+			out = append(out, c.recvBuf[:n]...)
 			c.recvBuf = c.recvBuf[n:]
 			if RecvBufSize-len(c.recvBuf) >= RecvBufSize/2 {
 				// Window reopened substantially; let the peer know.
@@ -947,29 +962,16 @@ func (c *Conn) Read(p *sim.Proc, max int) ([]byte, error) {
 			return out, nil
 		}
 		if c.peerFin && c.rcvNxt == c.finRcvd+1 {
-			return nil, ErrClosed // clean EOF
+			return out, ErrClosed // clean EOF
 		}
 		if c.state == stClosed {
 			if c.failure != nil {
-				return nil, c.failure
+				return out, c.failure
 			}
-			return nil, ErrClosed
+			return out, ErrClosed
 		}
 		c.readable.Recv(p)
 	}
-}
-
-// ReadFull reads exactly n bytes unless the connection ends first.
-func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		chunk, err := c.Read(p, n-len(out))
-		if err != nil {
-			return out, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
 }
 
 // Close initiates a graceful close: queued data is still delivered, then a

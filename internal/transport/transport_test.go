@@ -193,6 +193,44 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 	}
 }
 
+func TestReadFullReturnsPartialOnClose(t *testing.T) {
+	// The peer sends 5 of the 10 bytes asked for, in two writes, then
+	// closes: ReadFull returns what arrived with ErrClosed.
+	s := sim.New(2)
+	a, b := pair(s, fastLAN())
+	ta, tb := NewTCP(a), NewTCP(b)
+	l, err := tb.Listen(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("server", func(p *sim.Proc) {
+		c, ok := l.Accept(p)
+		if !ok {
+			t.Error("accept failed")
+			return
+		}
+		c.Write(p, []byte("hel"))
+		p.Sleep(50 * time.Millisecond)
+		c.Write(p, []byte("lo"))
+		c.Close()
+	})
+	var got []byte
+	var readErr error
+	s.Spawn("client", func(p *sim.Proc) {
+		c, err := ta.Dial(p, ipB, 21)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		got, readErr = c.ReadFull(p, 10)
+		c.Close()
+	})
+	s.Run()
+	if string(got) != "hello" || readErr != ErrClosed {
+		t.Fatalf("ReadFull = %q, %v; want \"hello\", ErrClosed", got, readErr)
+	}
+}
+
 func TestTCPDialRefused(t *testing.T) {
 	s := sim.New(2)
 	a, b := pair(s, fastLAN())

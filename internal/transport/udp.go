@@ -95,20 +95,38 @@ type UDPSocket struct {
 // Port returns the bound local port.
 func (s *UDPSocket) Port() uint16 { return s.port }
 
-// SendTo transmits data to the remote address and port. Payloads larger
-// than MaxDatagram panic: this stack does not fragment, so protocols above
-// must chunk (as the NFS substrate does).
+// NewDatagram returns buf, a buffer for one outgoing datagram of n payload
+// bytes with room for the UDP and IPv4 headers in front, and payload, its
+// last n bytes. A sender fills payload in place and passes buf to
+// SendDatagram, so the message is written once, straight into the wire
+// datagram.
+func NewDatagram(n int) (buf, payload []byte) {
+	buf = make([]byte, packet.IPv4HeaderLen+packet.UDPHeaderLen+n)
+	return buf, buf[packet.IPv4HeaderLen+packet.UDPHeaderLen:]
+}
+
+// SendTo transmits a copy of data to the remote address and port.
+// Payloads larger than MaxDatagram panic: this stack does not fragment, so
+// protocols above must chunk (as the NFS substrate does).
 func (s *UDPSocket) SendTo(dst packet.IPAddr, port uint16, data []byte) bool {
-	if len(data) > MaxDatagram {
-		panic(fmt.Sprintf("transport: datagram %d exceeds %d", len(data), MaxDatagram))
+	buf, payload := NewDatagram(len(data))
+	copy(payload, data)
+	return s.SendDatagram(dst, port, buf)
+}
+
+// SendDatagram transmits buf, made by NewDatagram with its payload filled
+// in, to the remote address and port. It takes ownership of buf: the
+// network writes the headers into it and may hold it until delivery, so
+// the caller must not touch it again. It reports false if no route exists.
+func (s *UDPSocket) SendDatagram(dst packet.IPAddr, port uint16, buf []byte) bool {
+	if n := len(buf) - packet.IPv4HeaderLen - packet.UDPHeaderLen; n < 0 || n > MaxDatagram {
+		panic(fmt.Sprintf("transport: datagram payload %d outside [0, %d]", n, MaxDatagram))
 	}
 	src, ok := s.stack.node.SrcFor(dst)
 	if !ok {
 		return false
 	}
-	buf := make([]byte, packet.IPv4HeaderLen+packet.UDPHeaderLen+len(data))
 	dg := packet.UDP(buf[packet.IPv4HeaderLen:])
-	copy(dg[packet.UDPHeaderLen:], data)
 	packet.PutUDPHeader(dg, s.port, port, src, dst)
 	return s.stack.node.SendIP(packet.ProtoUDP, dst, buf)
 }
