@@ -128,15 +128,18 @@ func (srv *Server) loop(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		if resp := srv.handle(dg.Data); resp != nil {
+		resp := srv.handle(dg.Data)
+		srv.sock.Release(dg) // handle copied whatever it keeps
+		if resp != nil {
 			srv.sock.SendDatagram(dg.From, dg.FromPort, resp)
 		}
 	}
 }
 
 // handle services one call and returns the reply built in place in a
-// transport.NewDatagram buffer; requests are idempotent so duplicate
-// retransmissions are harmless.
+// NewDatagram buffer; requests are idempotent so duplicate retransmissions
+// are harmless. Nothing handle keeps may alias req, whose buffer the
+// server releases afterwards.
 func (srv *Server) handle(req []byte) []byte {
 	if len(req) < 6 || req[4] != msgCall {
 		return nil
@@ -151,7 +154,7 @@ func (srv *Server) handle(req []byte) []byte {
 	// message returns a reply datagram with room for n payload bytes
 	// after the 6-byte header.
 	message := func(status uint8, n int) (buf, payload []byte) {
-		buf, out := transport.NewDatagram(6 + n)
+		buf, out := srv.sock.NewDatagram(6 + n)
 		binary.BigEndian.PutUint32(out[0:4], xid)
 		out[4] = msgReply
 		out[5] = status
@@ -376,12 +379,19 @@ var (
 const AttrTTL = 3 * time.Second
 
 // Client is a hard-mount NFS client with attribute and data caches.
+//
+// A reply body returned by the client's RPC layer lies in the reply
+// datagram's network buffer, which stays valid only until the client's
+// next RPC: that call releases it for reuse. Every exported method copies
+// or decodes what it keeps before returning, so the contract binds only
+// code inside this package.
 type Client struct {
 	s      *sim.Scheduler
 	stack  *transport.UDPStack
 	sock   *transport.UDPSocket
 	server packet.IPAddr
 	xid    uint32
+	reply  transport.Datagram // the last reply, released by the next call
 
 	// MaxOutstanding is the number of concurrent data RPCs ReadFile and
 	// WriteFile may keep in flight, like the BSD client's biod daemons.
@@ -449,6 +459,7 @@ func (c *Client) writeWindowed(p *sim.Proc, fh uint32, data []byte) error {
 			defer func() {
 				c.RPCs += biod.RPCs
 				c.Retransmits += biod.Retransmits
+				sock.Release(biod.reply)
 			}()
 			for {
 				if firstErr != nil || next >= len(jobs) {
@@ -480,8 +491,12 @@ func (c *Client) writeWindowed(p *sim.Proc, fh uint32, data []byte) error {
 // timeout backing off to a 10 s cap, retrying until answered. The call
 // message is the 6-byte header, args, then data, written straight into
 // the datagram. A sent datagram belongs to the network, so each attempt
-// builds its own from args and data, which stay the caller's.
+// builds its own from args and data, which stay the caller's. The
+// returned body lies in the reply datagram and is valid until the
+// client's next call, which releases it.
 func (c *Client) call(p *sim.Proc, proc uint8, args, data []byte) (uint8, []byte, error) {
+	c.sock.Release(c.reply)
+	c.reply = transport.Datagram{}
 	c.xid++
 	xid := c.xid
 	timeout := 700 * time.Millisecond
@@ -490,7 +505,7 @@ func (c *Client) call(p *sim.Proc, proc uint8, args, data []byte) (uint8, []byte
 		if attempt > 0 {
 			c.Retransmits++
 		}
-		buf, req := transport.NewDatagram(6 + len(args) + len(data))
+		buf, req := c.sock.NewDatagram(6 + len(args) + len(data))
 		binary.BigEndian.PutUint32(req[0:4], xid)
 		req[4] = msgCall
 		req[5] = proc
@@ -506,12 +521,12 @@ func (c *Client) call(p *sim.Proc, proc uint8, args, data []byte) (uint8, []byte
 			if !ok {
 				return 0, nil, ErrProto
 			}
-			if len(dg.Data) < 6 || dg.Data[4] != msgReply {
+			if len(dg.Data) < 6 || dg.Data[4] != msgReply ||
+				binary.BigEndian.Uint32(dg.Data[0:4]) != xid {
+				c.sock.Release(dg) // garbage, or a stale reply to an earlier retransmission
 				continue
 			}
-			if binary.BigEndian.Uint32(dg.Data[0:4]) != xid {
-				continue // stale reply to an earlier retransmission
-			}
+			c.reply = dg
 			return dg.Data[5], dg.Data[6:], nil
 		}
 		timeout *= 2

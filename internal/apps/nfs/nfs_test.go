@@ -442,7 +442,10 @@ func TestWindowedWriteFaster(t *testing.T) {
 // TestNFSWriteRPCAllocs counts the allocations of one 1 KiB WRITE RPC,
 // client and server together, over the test Ethernet. Each message is
 // written once, straight into its datagram: no request, body or reply
-// copies.
+// copies. The datagrams come from the scheduler's free list and go back
+// to it (the server releases each call after handling it, the client each
+// reply at its next call), and the socket waits reuse their waiters, so
+// in steady state an RPC allocates nothing.
 func TestNFSWriteRPCAllocs(t *testing.T) {
 	s, c, _ := setup(t, 21)
 	var fh uint32
@@ -469,7 +472,7 @@ func TestNFSWriteRPCAllocs(t *testing.T) {
 	}) / rpcs
 	s.Close()
 	t.Logf("%.2f allocs per WRITE RPC", allocs)
-	if allocs > 8 {
-		t.Errorf("one WRITE RPC allocates %.2f, ceiling 8", allocs)
+	if allocs > 1 {
+		t.Errorf("one WRITE RPC allocates %.2f, ceiling 1", allocs)
 	}
 }

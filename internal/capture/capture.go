@@ -21,29 +21,32 @@ import (
 // performance parameters and logs a device record.
 const DeviceSampleInterval = 100 * time.Millisecond
 
-// Ring is the fixed-size in-kernel record buffer. When full, the oldest
-// record is overwritten and counted as lost by type.
+// Ring is the bounded in-kernel record buffer. When full, the oldest
+// record is overwritten and counted as lost by type. Its slots are
+// allocated as records arrive, doubling up to the capacity, so a sparse
+// trace does not pay for a deep buffer it never fills; the capacity alone
+// decides when records are lost.
 type Ring struct {
-	recs []any
-	typ  []tracefmt.RecordType
-	head int // index of oldest
-	n    int
-	lost map[tracefmt.RecordType]uint32
+	recs     []any
+	typ      []tracefmt.RecordType
+	capacity int
+	head     int // index of oldest; 0 while the ring has fewer than capacity slots
+	n        int
+	lost     map[tracefmt.RecordType]uint32
 
 	// Telemetry hooks (nil-safe; see Collector.EnableMetrics).
 	pushed, overrun *obs.Counter
 }
+
+// ringInitSlots is the slot count a ring starts with on its first record.
+const ringInitSlots = 256
 
 // NewRing creates a buffer holding at most capacity records.
 func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		panic("capture: ring capacity must be >= 1")
 	}
-	return &Ring{
-		recs: make([]any, capacity),
-		typ:  make([]tracefmt.RecordType, capacity),
-		lost: map[tracefmt.RecordType]uint32{},
-	}
+	return &Ring{capacity: capacity, lost: map[tracefmt.RecordType]uint32{}}
 }
 
 // Len returns the number of buffered records.
@@ -53,10 +56,14 @@ func (r *Ring) Len() int { return r.n }
 func (r *Ring) Push(t tracefmt.RecordType, rec any) {
 	r.pushed.Inc()
 	if r.n == len(r.recs) {
-		r.lost[r.typ[r.head]]++
-		r.overrun.Inc()
-		r.head = (r.head + 1) % len(r.recs)
-		r.n--
+		if len(r.recs) < r.capacity {
+			r.grow()
+		} else {
+			r.lost[r.typ[r.head]]++
+			r.overrun.Inc()
+			r.head = (r.head + 1) % len(r.recs)
+			r.n--
+		}
 	}
 	i := (r.head + r.n) % len(r.recs)
 	r.recs[i] = rec
@@ -64,11 +71,22 @@ func (r *Ring) Push(t tracefmt.RecordType, rec any) {
 	r.n++
 }
 
+// grow doubles the slots, up to the capacity. The ring only wraps once it
+// holds capacity slots, so below that its records sit in order from slot 0.
+func (r *Ring) grow() {
+	n := min(max(2*len(r.recs), ringInitSlots), r.capacity)
+	recs := make([]any, n)
+	copy(recs, r.recs)
+	typ := make([]tracefmt.RecordType, n)
+	copy(typ, r.typ)
+	r.recs, r.typ = recs, typ
+}
+
 // Drain removes and returns all buffered records in arrival order. If any
 // records were lost since the previous drain, a tracefmt.LostRecord per
 // lost type (stamped at) is prepended, and the loss counters reset.
 func (r *Ring) Drain(at sim.Time) []any {
-	var out []any
+	out := make([]any, 0, len(r.lost)+r.n)
 	for _, t := range []tracefmt.RecordType{tracefmt.RecPacket, tracefmt.RecDevice, tracefmt.RecLost} {
 		if c := r.lost[t]; c > 0 {
 			out = append(out, tracefmt.LostRecord{At: int64(at), Count: c, Of: t})
@@ -81,6 +99,7 @@ func (r *Ring) Drain(at sim.Time) []any {
 		r.head = (r.head + 1) % len(r.recs)
 		r.n--
 	}
+	r.head = 0
 	return out
 }
 

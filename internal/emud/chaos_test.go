@@ -75,8 +75,14 @@ func TestChaosFarmSurvivesAllFaults(t *testing.T) {
 	})
 	// The farm is deliberately abandoned un-Closed at the end (that is the
 	// kill -9); only the wheel is torn down so the test binary's goroutine
-	// check doesn't drown.
-	defer m.wheel.Close()
+	// check doesn't drown, and the snapshot writer, since a killed process
+	// writes nothing more (left running, it keeps creating its temp file
+	// in the test's directory while that is being removed).
+	defer func() {
+		m.wheel.Close()
+		close(m.snapStop)
+		<-m.snapDone
+	}()
 
 	srv := httptest.NewServer(NewAPI(m, reg, obs.NewRingTracer(1024)).Handler())
 	defer srv.Close()

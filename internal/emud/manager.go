@@ -317,6 +317,14 @@ type Manager struct {
 
 	quit chan struct{}
 	wg   sync.WaitGroup
+
+	// snapMu serialises snapshot writers (the periodic loop, WriteSnapshot
+	// and Close's final write), which share one temp file. Close stops
+	// the loop through snapStop and waits on snapDone before its final
+	// write, so no tick can publish the emptied farm over it.
+	snapMu   sync.Mutex
+	snapStop chan struct{}
+	snapDone chan struct{}
 }
 
 // NewManager starts a farm (wheel shards, janitor, quarantine drainer,
@@ -402,7 +410,7 @@ func NewManager(o Options) *Manager {
 		go m.janitor()
 	}
 	if o.SnapshotPath != "" && o.SnapshotInterval > 0 {
-		m.wg.Add(1)
+		m.snapStop, m.snapDone = make(chan struct{}), make(chan struct{})
 		go m.snapshotLoop()
 	}
 	return m
@@ -698,6 +706,10 @@ func (m *Manager) Close() {
 	m.sessions = map[string]*Session{}
 	m.mu.Unlock()
 
+	if m.snapStop != nil {
+		close(m.snapStop)
+		<-m.snapDone
+	}
 	if m.opts.SnapshotPath != "" {
 		_ = m.writeSnapshotOf(sessions)
 	}

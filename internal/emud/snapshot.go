@@ -156,7 +156,8 @@ func snapshotOf(sessions []*Session, seq int64) *FarmSnapshot {
 
 // WriteSnapshot writes the farm's snapshot to Options.SnapshotPath
 // atomically (tmp file + rename), so a crash mid-write leaves the
-// previous snapshot intact.
+// previous snapshot intact. Concurrent writers are serialised: each
+// publishes a whole snapshot.
 func (m *Manager) WriteSnapshot() error {
 	m.mu.Lock()
 	sessions := make([]*Session, 0, len(m.sessions))
@@ -168,11 +169,16 @@ func (m *Manager) WriteSnapshot() error {
 }
 
 // writeSnapshotOf serializes the given sessions (Close passes the list
-// it already pulled out of the map before clearing it).
+// it already pulled out of the map before clearing it). It holds snapMu
+// from the temp file's creation to the directory sync: a second writer
+// would otherwise truncate the temp file under the first one's rename,
+// publishing a partial snapshot, or find it already renamed away.
 func (m *Manager) writeSnapshotOf(sessions []*Session) error {
 	if m.opts.SnapshotPath == "" {
 		return fmt.Errorf("emud: no snapshot path configured")
 	}
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
 	m.mu.Lock()
 	seq := m.seq
 	m.mu.Unlock()
@@ -235,16 +241,17 @@ func fsyncDir(dir string) error {
 	return err
 }
 
-// snapshotLoop writes a snapshot every SnapshotInterval until Close.
+// snapshotLoop writes a snapshot every SnapshotInterval until Close
+// stops it, ahead of Close's own final write.
 func (m *Manager) snapshotLoop() {
-	defer m.wg.Done()
+	defer close(m.snapDone)
 	tick := time.NewTicker(m.opts.SnapshotInterval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C:
 			_ = m.WriteSnapshot()
-		case <-m.quit:
+		case <-m.snapStop:
 			return
 		}
 	}

@@ -1,8 +1,10 @@
 package emud
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,5 +127,79 @@ func TestRecoverMissingFileIsFirstBoot(t *testing.T) {
 	n, err := m.Recover(filepath.Join(t.TempDir(), "absent.json"))
 	if n != 0 || err != nil {
 		t.Fatalf("Recover(absent) = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// TestConcurrentSnapshotWritersPublishWholeSnapshots races explicit
+// WriteSnapshot calls against the periodic loop at a 1 ms interval (and
+// Close's final write at the end). Every write must succeed, and every
+// read of the published path must parse as a complete snapshot.
+func TestConcurrentSnapshotWritersPublishWholeSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "farm.json")
+	m := NewManager(Options{Granularity: time.Millisecond, SnapshotPath: path, SnapshotInterval: time.Millisecond})
+	for i := 0; i < 3; i++ {
+		startSession(t, m, testTrace())
+	}
+
+	const writers, writes = 4, 25
+	stop := make(chan struct{})
+	readErr := make(chan error, 1)
+	go func() {
+		defer close(readErr)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap, err := LoadSnapshot(path)
+			if os.IsNotExist(err) {
+				continue // nothing published yet
+			}
+			if err == nil && len(snap.Sessions) != 3 {
+				err = fmt.Errorf("a published snapshot holds %d sessions, want 3", len(snap.Sessions))
+			}
+			if err != nil {
+				readErr <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*writes)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				if err := m.WriteSnapshot(); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	close(stop)
+	if err := <-readErr; err != nil {
+		t.Fatal(err)
+	}
+
+	// Close stops the loop before its own final write, so no later tick
+	// publishes the emptied farm over it.
+	m.Close()
+	snap, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Sessions) != 3 {
+		t.Fatalf("the snapshot left by Close holds %d sessions, want 3", len(snap.Sessions))
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("temp file left behind")
 	}
 }

@@ -255,6 +255,10 @@ type Engine struct {
 	pending   map[time.Duration]*tickBatch
 	batchFree []*tickBatch
 
+	// Cached method values for the engine's own timers, so arming one
+	// makes no closure.
+	advanceFn, occupancyDoneFn func()
+
 	stats Stats
 }
 
@@ -276,6 +280,7 @@ func NewEngine(clock Clock, src Source, cfg Config) *Engine {
 		cfg.RNG = rand.New(rand.NewSource(DefaultDropSeed))
 	}
 	e := &Engine{clock: clock, src: src, cfg: cfg, tracer: cfg.Tracer, spans: cfg.Spans}
+	e.advanceFn, e.occupancyDoneFn = e.onAdvanceTimer, e.onOccupancyDone
 	if cfg.Tick > 0 {
 		e.pending = make(map[time.Duration]*tickBatch)
 	}
@@ -325,13 +330,16 @@ func (e *Engine) armAdvanceTimer() {
 		wait = time.Millisecond
 	}
 	e.timerArmed = true
-	e.clock.AfterFunc(wait, func() {
-		e.mu.Lock()
-		e.timerArmed = false
-		e.advance(e.clock.Now())
-		e.armAdvanceTimer()
-		e.mu.Unlock()
-	})
+	e.clock.AfterFunc(wait, e.advanceFn)
+}
+
+// onAdvanceTimer is the advance timer firing.
+func (e *Engine) onAdvanceTimer() {
+	e.mu.Lock()
+	e.timerArmed = false
+	e.advance(e.clock.Now())
+	e.armAdvanceTimer()
+	e.mu.Unlock()
 }
 
 // onAvailable is the Notifier callback: new tuples arrived after a dry
@@ -773,12 +781,16 @@ func (e *Engine) trackOccupancy(now, finish time.Duration) {
 	}
 	e.inflight++
 	e.ins.queueDepth.Set(e.inflight)
-	e.clock.AfterFunc(finish-now, func() {
-		e.mu.Lock()
-		e.inflight--
-		e.ins.queueDepth.Set(e.inflight)
-		e.mu.Unlock()
-	})
+	e.clock.AfterFunc(finish-now, e.occupancyDoneFn)
+}
+
+// onOccupancyDone is a packet's serialization finishing: it leaves the
+// bottleneck queue.
+func (e *Engine) onOccupancyDone() {
+	e.mu.Lock()
+	e.inflight--
+	e.ins.queueDepth.Set(e.inflight)
+	e.mu.Unlock()
 }
 
 func roundToTick(t, tick time.Duration) time.Duration {

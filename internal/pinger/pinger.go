@@ -78,13 +78,15 @@ func New(node *simnet.Node, target packet.IPAddr) *Pinger {
 // Stats returns the workload counters so far.
 func (pg *Pinger) Stats() Stats { return pg.stats }
 
+// handleICMP consumes every ICMP datagram the node receives and releases
+// its buffer.
 func (pg *Pinger) handleICMP(n *simnet.Node, ip packet.IPv4) {
 	m := packet.ICMP(ip.Payload())
-	if !m.Valid() || m.Type() != packet.ICMPEchoReply || m.ID() != pg.ID {
-		return
+	if m.Valid() && m.Type() == packet.ICMPEchoReply && m.ID() == pg.ID {
+		pg.stats.Received++
+		pg.replies.TrySend(reply{seq: m.Seq(), at: n.Sched().Now()})
 	}
-	pg.stats.Received++
-	pg.replies.TrySend(reply{seq: m.Seq(), at: n.Sched().Now()})
+	n.Sched().ReleaseBuf(ip)
 }
 
 // sendEcho transmits one ECHO with the given payload size and returns its
@@ -93,7 +95,7 @@ func (pg *Pinger) sendEcho(payloadSize int) uint16 {
 	pg.seq++
 	seq := pg.seq
 	now := int64(pg.node.Sched().Now())
-	buf := make([]byte, packet.IPv4HeaderLen+packet.ICMPHeaderLen+payloadSize)
+	buf := pg.node.Sched().Buf(packet.IPv4HeaderLen + packet.ICMPHeaderLen + payloadSize)
 	echo := packet.ICMP(buf[packet.IPv4HeaderLen:])
 	packet.PutEchoPayload(echo.Payload(), now)
 	packet.PutICMPHeader(echo, packet.ICMPFields{Type: packet.ICMPEcho, ID: pg.ID, Seq: seq})

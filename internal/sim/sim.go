@@ -81,6 +81,10 @@ type Scheduler struct {
 	seed   int64
 	rngs   map[string]*rand.Rand // memoized per-component streams
 
+	// Datagram buffer free lists, one per size class (see Buf).
+	smallBufs, mtuBufs [][]byte
+	pinned             map[*byte]bool // buffers ReleaseBuf must ignore
+
 	live    []*Proc // processes spawned and not yet exited
 	stopped bool
 }
@@ -127,6 +131,78 @@ func (s *Scheduler) RNG(name string) *rand.Rand {
 	}
 	s.rngs[name] = r
 	return r
+}
+
+// Datagram buffer size classes. A buffer's capacity names its class.
+const (
+	// SmallBufCap holds ACKs, ICMP echoes and NFS status checks.
+	SmallBufCap = 128
+	// MTUBufCap holds any datagram up to the 1500-byte MTU; it is the
+	// size class the Go allocator would round a 1500-byte buffer up to.
+	MTUBufCap = 1536
+)
+
+// Buf returns a zeroed buffer of length n for one datagram, from the
+// scheduler's free list of its size class. The free lists belong to the
+// scheduler, like its event pool: they need no locks, since one scheduler
+// runs on one goroutine, and they die with it. A buffer longer than
+// MTUBufCap is allocated and never recycled.
+//
+// Whoever finally consumes the datagram gives the buffer back with
+// ReleaseBuf. A buffer nobody releases is garbage, never a leak, so a
+// missed release only costs an allocation; releasing a buffer that is
+// still in use is the bug to avoid.
+func (s *Scheduler) Buf(n int) []byte {
+	free, c := &s.mtuBufs, MTUBufCap
+	if n <= SmallBufCap {
+		free, c = &s.smallBufs, SmallBufCap
+	} else if n > MTUBufCap {
+		return make([]byte, n)
+	}
+	if k := len(*free); k > 0 {
+		b := (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, c)
+}
+
+// ReleaseBuf gives a datagram buffer back to the free list of its size
+// class. b must be the whole buffer Buf returned (any length, the same
+// start), and the caller must be its last owner. The buffer is zeroed
+// here rather than in Buf, so a stale reader sees zeros (which fail every
+// checksum) instead of another datagram's bytes. A buffer whose capacity
+// names no class, or one pinned by PinBuf, is left to the garbage
+// collector.
+func (s *Scheduler) ReleaseBuf(b []byte) {
+	var free *[][]byte
+	switch cap(b) {
+	case SmallBufCap:
+		free = &s.smallBufs
+	case MTUBufCap:
+		free = &s.mtuBufs
+	default:
+		return
+	}
+	b = b[:cap(b)]
+	if s.pinned != nil && s.pinned[&b[0]] {
+		return
+	}
+	clear(b)
+	*free = append(*free, b)
+}
+
+// PinBuf marks b as shared by several owners at once (a broadcast frame):
+// ReleaseBuf ignores it from now on, so it is never recycled.
+func (s *Scheduler) PinBuf(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	if s.pinned == nil {
+		s.pinned = make(map[*byte]bool)
+	}
+	s.pinned[&b[:1][0]] = true
 }
 
 // schedule places a pooled event on the heap and returns it.
@@ -484,6 +560,7 @@ func (s *Scheduler) Close() {
 		}
 	}
 	s.events, s.free, s.dead = nil, nil, 0
+	s.smallBufs, s.mtuBufs, s.pinned = nil, nil, nil
 }
 
 // unpark switches into p and returns once it parks again or exits. It
@@ -505,25 +582,93 @@ func (p *Proc) Sleep(d time.Duration) {
 // instant.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// waiter is a parked process waiting on a channel or condition, with the
-// slot through which a value is delivered.
+// waiter is a parked process waiting on a channel, with the slot through
+// which a value is delivered. Waiters are recycled per channel: a blocking
+// operation takes one from the channel's free list and gives it back once
+// its process has resumed, so a wait allocates nothing in steady state.
 type waiter[T any] struct {
+	c        *Chan[T]
 	p        *Proc
 	val      T
 	ok       bool
 	done     bool // value delivered or channel closed
 	timedOut bool
+	deadline Timer  // RecvTimeout's pending deadline
+	expireFn func() // cached expire method value: the deadline's callback
+}
+
+// expire is a RecvTimeout deadline firing. A waiter the deadline ends
+// leaves the receive queue at once, since it is recycled when its process
+// resumes: a value sent after this instant must find the buffer or the
+// next waiter, never this one.
+func (w *waiter[T]) expire() {
+	if w.done {
+		return // the value came first at this instant and wins
+	}
+	w.timedOut = true
+	q := &w.c.recvW
+	for i := q.head; i < len(q.q); i++ {
+		if q.q[i] == w {
+			q.removeAt(i)
+			break
+		}
+	}
+	w.c.s.At(w.c.s.now, w.p.unparkFn)
+}
+
+// fifo is a queue that reuses its backing array: a pop advances the head,
+// and a push that reaches the end of the array first slides the queued
+// entries down to the front, so a queue in steady state allocates nothing.
+type fifo[E any] struct {
+	q    []E // live entries are q[head:]
+	head int
+}
+
+func (f *fifo[E]) len() int { return len(f.q) - f.head }
+
+func (f *fifo[E]) push(v E) {
+	if f.head > 0 && len(f.q) == cap(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, v)
+}
+
+// pop removes and returns the oldest entry; the queue must not be empty.
+func (f *fifo[E]) pop() E {
+	v := f.q[f.head]
+	f.removeAt(f.head)
+	return v
+}
+
+// removeAt deletes the entry at index i of f.q, keeping the order of the
+// others.
+func (f *fifo[E]) removeAt(i int) {
+	var zero E
+	if i == f.head {
+		f.q[i] = zero
+		f.head++
+	} else {
+		copy(f.q[i:], f.q[i+1:])
+		f.q[len(f.q)-1] = zero
+		f.q = f.q[:len(f.q)-1]
+	}
+	if f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
 }
 
 // Chan is an ordered, optionally buffered channel usable from processes
 // (blocking operations) and from event context (non-blocking operations).
 type Chan[T any] struct {
 	s      *Scheduler
-	buf    []T
+	buf    fifo[T]
 	cap    int // 0 means rendezvous is not supported; see NewChan
 	closed bool
-	recvW  []*waiter[T]
-	sendW  []*waiter[T]
+	recvW  fifo[*waiter[T]]
+	sendW  fifo[*waiter[T]]
+	free   []*waiter[T] // recycled waiters
 }
 
 // NewChan creates a channel with the given buffer capacity. Capacity must be
@@ -537,13 +682,36 @@ func NewChan[T any](s *Scheduler, capacity int) *Chan[T] {
 }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Cap returns the buffer capacity.
 func (c *Chan[T]) Cap() int { return c.cap }
 
 // Closed reports whether Close has been called.
 func (c *Chan[T]) Closed() bool { return c.closed }
+
+// wait takes a waiter for p from the free list.
+func (c *Chan[T]) wait(p *Proc) *waiter[T] {
+	var w *waiter[T]
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		w = &waiter[T]{c: c}
+		w.expireFn = w.expire
+	}
+	w.p = p
+	return w
+}
+
+// recycle returns a finished waiter to the free list. Its process has
+// resumed, so no queue and no pending deadline refers to it any more.
+func (c *Chan[T]) recycle(w *waiter[T]) {
+	var zero T
+	w.p, w.val, w.ok, w.done, w.timedOut, w.deadline = nil, zero, false, false, false, Timer{}
+	c.free = append(c.free, w)
+}
 
 // Close closes the channel. Blocked receivers drain remaining buffered
 // values; once empty they observe ok=false. Sending on a closed channel
@@ -554,48 +722,21 @@ func (c *Chan[T]) Close() {
 	}
 	c.closed = true
 	// Wake receivers that cannot be satisfied from the buffer.
-	for len(c.recvW) > 0 && len(c.buf) == 0 {
-		w := c.popRecv()
-		if w == nil {
-			break
-		}
+	for c.recvW.len() > 0 && c.buf.len() == 0 {
+		w := c.recvW.pop()
 		w.done = true
 		w.ok = false
 		c.s.At(c.s.now, w.p.unparkFn)
 	}
 }
 
-func (c *Chan[T]) popRecv() *waiter[T] {
-	for len(c.recvW) > 0 {
-		w := c.recvW[0]
-		c.recvW = c.recvW[1:]
-		if w.done || w.timedOut {
-			continue
-		}
-		return w
-	}
-	return nil
-}
-
-func (c *Chan[T]) popSend() *waiter[T] {
-	for len(c.sendW) > 0 {
-		w := c.sendW[0]
-		c.sendW = c.sendW[1:]
-		if w.done || w.timedOut {
-			continue
-		}
-		return w
-	}
-	return nil
-}
-
 // deliver hands v to a waiting receiver if any; reports whether delivered.
 // Must run in scheduler context or from the single running process.
 func (c *Chan[T]) deliver(v T) bool {
-	w := c.popRecv()
-	if w == nil {
+	if c.recvW.len() == 0 {
 		return false
 	}
+	w := c.recvW.pop()
 	w.val = v
 	w.ok = true
 	w.done = true
@@ -609,11 +750,11 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic("sim: send on closed Chan")
 	}
-	if len(c.buf) == 0 && c.deliver(v) {
+	if c.buf.len() == 0 && c.deliver(v) {
 		return true
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return true
 	}
 	return false
@@ -624,37 +765,38 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	if c.TrySend(v) {
 		return
 	}
-	w := &waiter[T]{p: p, val: v}
-	c.sendW = append(c.sendW, w)
+	w := c.wait(p)
+	w.val = v
+	c.sendW.push(w)
 	p.park()
 	if !w.done {
 		panic("sim: sender resumed without completion")
 	}
+	c.recycle(w)
 }
 
 // TryRecv receives without blocking. ok reports whether a value was
 // received. Safe from event context.
 func (c *Chan[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		v := c.buf.pop()
 		c.admitSender()
 		return v, true
 	}
+	var zero T
 	return zero, false
 }
 
 // admitSender moves one blocked sender's value into the buffer (or to a
 // receiver) after space frees up.
 func (c *Chan[T]) admitSender() {
-	w := c.popSend()
-	if w == nil {
+	if c.sendW.len() == 0 {
 		return
 	}
+	w := c.sendW.pop()
 	w.done = true
 	if !c.deliver(w.val) {
-		c.buf = append(c.buf, w.val)
+		c.buf.push(w.val)
 	}
 	c.s.At(c.s.now, w.p.unparkFn)
 }
@@ -669,14 +811,18 @@ func (c *Chan[T]) Recv(p *Proc) (T, bool) {
 		var zero T
 		return zero, false
 	}
-	w := &waiter[T]{p: p}
-	c.recvW = append(c.recvW, w)
+	w := c.wait(p)
+	c.recvW.push(w)
 	p.park()
-	return w.val, w.ok
+	v, ok := w.val, w.ok
+	c.recycle(w)
+	return v, ok
 }
 
 // RecvTimeout is Recv with a deadline d from now. timedOut reports whether
-// the deadline elapsed before a value arrived.
+// the deadline elapsed before a value arrived. A value and the deadline at
+// the same instant resolve in event order: a value delivered before the
+// deadline fires wins.
 func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut bool) {
 	if v, ok := c.TryRecv(); ok {
 		return v, true, false
@@ -689,24 +835,15 @@ func (c *Chan[T]) RecvTimeout(p *Proc, d time.Duration) (v T, ok bool, timedOut 
 		var zero T
 		return zero, false, true
 	}
-	w := &waiter[T]{p: p}
-	c.recvW = append(c.recvW, w)
-	deadline := c.s.AfterTimer(d, func() {
-		if w.done {
-			return
-		}
-		w.timedOut = true
-		c.s.At(c.s.now, p.unparkFn)
-	})
+	w := c.wait(p)
+	c.recvW.push(w)
+	w.deadline = c.s.AfterTimer(d, w.expireFn)
 	p.park()
 	// A wait the value ended leaves no dead deadline in the heap.
-	deadline.Stop()
-	if w.timedOut && w.done {
-		// Value arrived in the same instant the timer fired and was
-		// delivered first; prefer the value.
-		w.timedOut = false
-	}
-	return w.val, w.ok, w.timedOut
+	w.deadline.Stop()
+	v, ok, timedOut = w.val, w.ok, w.timedOut
+	c.recycle(w)
+	return v, ok, timedOut
 }
 
 // WaitGroup tracks completion of a set of processes or activities in
@@ -733,7 +870,8 @@ func (wg *WaitGroup) Done() {
 		for _, p := range wg.wait {
 			wg.s.At(wg.s.now, p.unparkFn)
 		}
-		wg.wait = nil
+		clear(wg.wait)
+		wg.wait = wg.wait[:0]
 	}
 }
 

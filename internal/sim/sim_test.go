@@ -773,3 +773,202 @@ func TestProcSwitchAllocs(t *testing.T) {
 		t.Fatalf("a Sleep/wake round trip allocates %v, want 0", allocs)
 	}
 }
+
+// TestRecvTimeoutValueAtDeadlineWins: a value delivered at the deadline's
+// instant, by an event that runs before the deadline fires, is received;
+// the deadline that fires afterwards finds the wait done.
+func TestRecvTimeoutValueAtDeadlineWins(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s, 1)
+	s.At(10, func() { c.TrySend(7) }) // queued before the deadline below
+	var v int
+	var ok, timedOut bool
+	s.Spawn("recv", func(p *Proc) { v, ok, timedOut = c.RecvTimeout(p, 10) })
+	s.Run()
+	if !ok || timedOut || v != 7 {
+		t.Fatalf("RecvTimeout = %d, %v, timedOut %v; want 7, true, false", v, ok, timedOut)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("the value was both received and buffered (len %d)", c.Len())
+	}
+}
+
+// TestTimedOutWaiterLeavesTheQueue: once a deadline ends a wait, a value
+// sent at the same instant or later goes to the buffer or to the next
+// waiter, never to the recycled waiter of the timed-out one.
+func TestTimedOutWaiterLeavesTheQueue(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s, 4)
+	var first []string
+	s.Spawn("a", func(p *Proc) {
+		_, _, to := c.RecvTimeout(p, 10)
+		first = append(first, map[bool]string{true: "a timed out", false: "a got a value"}[to])
+		p.Sleep(100) // parked elsewhere while the values below arrive
+		// Two values wait in the buffer: a recycled waiter that had
+		// swallowed one of them would leave only the other.
+		for want := 1; want <= 2; want++ {
+			if v, ok := c.TryRecv(); !ok || v != want {
+				t.Errorf("buffered value %d: got %d, %v", want, v, ok)
+			}
+		}
+	})
+	// Queued behind a's start, so these run once a has armed its
+	// deadline: at t=10 the deadline fires first.
+	s.At(0, func() {
+		s.At(10, func() { c.TrySend(1) })
+		s.At(20, func() { c.TrySend(2) })
+	})
+	s.Run()
+	if len(first) != 1 || first[0] != "a timed out" {
+		t.Fatalf("first wait: %v", first)
+	}
+
+	// With a second receiver parked behind a timed-out one, the value goes
+	// to the second.
+	s = New(1)
+	c = NewChan[int](s, 4)
+	var got int
+	var gotOK bool
+	s.Spawn("short", func(p *Proc) {
+		if _, _, to := c.RecvTimeout(p, 5); !to {
+			t.Error("the short wait must time out")
+		}
+		// Reuse the recycled waiter at once, on a long wait.
+		if v, ok, to := c.RecvTimeout(p, 1000); !ok || to || v != 2 {
+			t.Errorf("the short receiver's second wait = %d, %v, %v; want 2", v, ok, to)
+		}
+	})
+	s.Spawn("long", func(p *Proc) { got, gotOK = c.Recv(p) })
+	s.At(8, func() { c.TrySend(1) })
+	s.At(9, func() { c.TrySend(2) })
+	s.Run()
+	if !gotOK || got != 1 {
+		t.Fatalf("the waiter behind the timed-out one got %d, %v; want 1", got, gotOK)
+	}
+}
+
+// TestCloseWakesEveryParkedReceiver: Close resumes all blocked receivers,
+// timed waits included, with ok false and no timeout.
+func TestCloseWakesEveryParkedReceiver(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s, 1)
+	woke := 0
+	for i := 0; i < 3; i++ {
+		s.Spawn("recv", func(p *Proc) {
+			if _, ok := c.Recv(p); !ok {
+				woke++
+			}
+		})
+	}
+	s.Spawn("timed", func(p *Proc) {
+		if _, ok, to := c.RecvTimeout(p, time.Hour); !ok && !to {
+			woke++
+		}
+	})
+	s.At(5, c.Close)
+	s.Run()
+	if woke != 4 {
+		t.Fatalf("%d of 4 parked receivers observed the close", woke)
+	}
+	if s.Now() != 5 {
+		t.Fatalf("run ended at %v: a cancelled deadline was left in the heap", s.Now())
+	}
+}
+
+// TestBlockedSendersAdmittedInOrder: senders blocked on a full buffer get
+// their values in in the order they blocked.
+func TestBlockedSendersAdmittedInOrder(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s, 1)
+	c.TrySend(0)
+	for i := 1; i <= 5; i++ {
+		s.Spawn("send", func(p *Proc) { c.Send(p, i) })
+	}
+	var got []int
+	s.Spawn("recv", func(p *Proc) {
+		p.Sleep(10) // every sender is parked by now
+		for i := 0; i <= 5; i++ {
+			v, _ := c.Recv(p)
+			got = append(got, v)
+			p.Sleep(1)
+		}
+	})
+	s.Run()
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("received %v, want 0..5 in order", got)
+		}
+	}
+	if len(got) != 6 {
+		t.Fatalf("received %v, want 0..5", got)
+	}
+}
+
+// TestChanWaitsReuseWaiters: a steady stream of blocking receives, timed
+// ones included, allocates nothing once the channel's waiter free list
+// and queues are warm.
+func TestChanWaitsReuseWaiters(t *testing.T) {
+	s := New(1)
+	c := NewChan[int](s, 4)
+	s.Spawn("recv", func(p *Proc) {
+		for {
+			c.Recv(p)
+			c.RecvTimeout(p, time.Millisecond) // times out half the time
+		}
+	})
+	n := 0
+	send := func() {
+		n++
+		c.TrySend(n)
+		s.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Fatalf("a channel wait allocates %v, want 0", allocs)
+	}
+	s.Close()
+}
+
+func TestBufFreeList(t *testing.T) {
+	s := New(1)
+	small, mtu := s.Buf(40), s.Buf(1500)
+	if len(small) != 40 || cap(small) != SmallBufCap || len(mtu) != 1500 || cap(mtu) != MTUBufCap {
+		t.Fatalf("Buf sizes: small %d/%d, mtu %d/%d", len(small), cap(small), len(mtu), cap(mtu))
+	}
+	for i := range mtu {
+		mtu[i] = 0xff
+	}
+	s.ReleaseBuf(mtu)
+	// A stale reference reads zeros: the buffer is cleared on release.
+	for i, b := range mtu[:cap(mtu)] {
+		if b != 0 {
+			t.Fatalf("released buffer byte %d = %#x, want 0", i, b)
+		}
+	}
+	if again := s.Buf(600); &again[0] != &mtu[0] {
+		t.Fatal("a released MTU buffer was not reused")
+	}
+	// A buffer no class names is left to the garbage collector.
+	big := s.Buf(MTUBufCap + 1)
+	s.ReleaseBuf(big)
+	s.ReleaseBuf(make([]byte, 100))
+	if len(s.smallBufs) != 0 || len(s.mtuBufs) != 0 {
+		t.Fatalf("foreign buffers entered the free lists: %d small, %d mtu", len(s.smallBufs), len(s.mtuBufs))
+	}
+	// A pinned buffer is never recycled or cleared.
+	small[0] = 1
+	s.PinBuf(small)
+	s.ReleaseBuf(small)
+	if len(s.smallBufs) != 0 || small[0] != 1 {
+		t.Fatal("a pinned buffer was released")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		b := s.Buf(100)
+		s.ReleaseBuf(b)
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Buf/ReleaseBuf pair allocates %v, want 0", allocs)
+	}
+}

@@ -12,15 +12,21 @@
 // byte counts still charge the 14-byte Ethernet header.
 //
 // Buffer ownership. Every datagram is allocated once, by whoever creates
-// it (a transport, the pinger, the ICMP echo responder), with
+// it (a transport, the pinger, the ICMP echo responder), from the
+// scheduler's datagram free list (sim.Scheduler.Buf), with
 // packet.IPv4HeaderLen bytes of room in front that SendIP fills in place.
 // From there the same slice is handed from owner to owner: output hooks,
 // the NIC, the medium, the receiving NIC, router forwarding, protocol
 // dispatch. The rule is one sentence: a layer never reads or writes a
 // datagram after passing it on. A hook holds a datagram only until it
 // calls next; a Tap sees it for the duration of the call and must not
-// retain it; a protocol handler owns what it is given. The one exception
-// is a broadcast frame, which every receiver sees at once: receivers may
+// retain it; a protocol handler owns what it is given. The last owner
+// releases the buffer (sim.Scheduler.ReleaseBuf): a drop point here, or
+// the protocol handler that consumed it. An unreleased buffer is garbage,
+// never a leak, so a missed release costs only an allocation, while a
+// release by anyone but the last owner hands live bytes to the next
+// datagram. The one exception is a broadcast frame, which every receiver
+// sees at once: it is pinned, so no release recycles it; receivers may
 // read it, and a router that forwards it copies it first.
 package simnet
 
@@ -174,6 +180,7 @@ func (m *Medium) attach(n *NIC) { m.nics = append(m.nics, n) }
 func (m *Medium) enqueue(src *NIC, dst packet.HWAddr, ip []byte) {
 	if src.queued >= src.QueueCap {
 		m.stats.QueueDrops++
+		m.s.ReleaseBuf(ip)
 		return
 	}
 	src.queued++
@@ -237,6 +244,7 @@ func (f *frame) sent() {
 	m.stats.Bytes += int64(f.wireLen())
 	if m.rng.Float64() < f.loss {
 		m.stats.Lost++
+		m.s.ReleaseBuf(f.ip)
 		m.release(f)
 	} else {
 		m.s.After(f.latency, f.deliverFn)
@@ -248,6 +256,9 @@ func (f *frame) deliver() {
 	m, src, dst, ip := f.m, f.src, f.dst, f.ip
 	m.release(f)
 	broadcast := dst == broadcastHW
+	if broadcast {
+		m.s.PinBuf(ip)
+	}
 	for _, n := range m.nics {
 		if n == src {
 			continue
@@ -259,6 +270,7 @@ func (f *frame) deliver() {
 			}
 		}
 	}
+	m.s.ReleaseBuf(ip) // no receiver (or a pinned broadcast: a no-op)
 }
 
 // NIC is a node's attachment to a medium.
@@ -300,7 +312,8 @@ func (n *NIC) sameSubnet(ip packet.IPAddr) bool {
 func (n *NIC) send(ip []byte, nextHop packet.IPAddr) {
 	dstHW, ok := n.medium.resolve(nextHop)
 	if !ok {
-		return // no such neighbour: silently dropped like a failed ARP
+		n.node.s.ReleaseBuf(ip) // no such neighbour: dropped like a failed ARP
+		return
 	}
 	if n.tap != nil {
 		n.tap(Outbound, n.node.s.Now(), ip, n.medium.Sample())
@@ -510,6 +523,7 @@ func (n *Node) SendIP(proto uint8, dst packet.IPAddr, buf []byte) bool {
 	r := n.lookupRoute(dst)
 	if r == nil {
 		n.stats.NoRoute++
+		n.s.ReleaseBuf(buf)
 		return false
 	}
 	n.ipID++
@@ -525,11 +539,13 @@ func (n *Node) SendIP(proto uint8, dst packet.IPAddr, buf []byte) bool {
 func (n *Node) transmit(ip []byte) {
 	v := packet.IPv4(ip)
 	if v.Valid() != nil {
+		n.s.ReleaseBuf(ip)
 		return
 	}
 	r := n.lookupRoute(v.Dst())
 	if r == nil {
 		n.stats.NoRoute++
+		n.s.ReleaseBuf(ip)
 		return
 	}
 	nextHop := v.Dst()
@@ -545,10 +561,12 @@ func (n *Node) input(ip []byte, shared bool) {
 	v := packet.IPv4(ip)
 	if v.Valid() != nil || !v.ChecksumOK() {
 		n.stats.BadSum++
+		n.s.ReleaseBuf(ip)
 		return
 	}
 	if !n.IsLocal(v.Dst()) {
 		if !n.Forwarding {
+			n.s.ReleaseBuf(ip)
 			return
 		}
 		n.forward(ip, shared)
@@ -557,15 +575,19 @@ func (n *Node) input(ip []byte, shared bool) {
 	n.in(ip)
 }
 
-// dispatch hands a datagram that cleared the input hooks to its protocol.
+// dispatch hands a datagram that cleared the input hooks to its protocol,
+// which becomes the buffer's owner.
 func (n *Node) dispatch(ip []byte) {
 	w := packet.IPv4(ip)
 	if w.Valid() != nil {
+		n.s.ReleaseBuf(ip)
 		return
 	}
 	n.stats.Received++
 	if h, ok := n.handlers[w.Protocol()]; ok {
 		h(n, w)
+	} else {
+		n.s.ReleaseBuf(ip)
 	}
 }
 
@@ -575,10 +597,13 @@ func (n *Node) dispatch(ip []byte) {
 func (n *Node) forward(ip []byte, shared bool) {
 	if packet.IPv4(ip).TTL() <= 1 {
 		n.stats.TTLDrops++
+		n.s.ReleaseBuf(ip)
 		return
 	}
 	if shared {
-		ip = append([]byte(nil), ip...)
+		own := n.s.Buf(len(ip))
+		copy(own, ip)
+		ip = own
 	}
 	w := packet.IPv4(ip)
 	w.SetTTL(w.TTL() - 1)
@@ -588,13 +613,15 @@ func (n *Node) forward(ip []byte, shared bool) {
 }
 
 // icmpEchoResponder is every node's built-in answer to ICMP ECHO: reply
-// with ECHOREPLY carrying the same id, sequence number, and payload.
+// with ECHOREPLY carrying the same id, sequence number, and payload. The
+// request is consumed here: its buffer goes back to the free list.
 func icmpEchoResponder(n *Node, ip packet.IPv4) {
+	defer n.s.ReleaseBuf(ip)
 	m := packet.ICMP(ip.Payload())
 	if !m.Valid() || m.Type() != packet.ICMPEcho {
 		return
 	}
-	buf := make([]byte, packet.IPv4HeaderLen+len(m))
+	buf := n.s.Buf(packet.IPv4HeaderLen + len(m))
 	reply := packet.ICMP(buf[packet.IPv4HeaderLen:])
 	copy(reply.Payload(), m.Payload())
 	packet.PutICMPHeader(reply, packet.ICMPFields{

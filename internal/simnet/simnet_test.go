@@ -523,17 +523,20 @@ func TestSendIPNeedsHeaderRoom(t *testing.T) {
 }
 
 func TestSimnetHopAllocations(t *testing.T) {
-	// Steady state across a router: once the media's frame free lists are
-	// warm, carrying a datagram from SendIP through a two-medium routed
-	// path to its handler allocates nothing in simnet itself (the buffer is
-	// reused here because it is the sender's to allocate, not simnet's).
+	// Steady state across a router: once the media's frame free lists and
+	// the scheduler's datagram free list are warm, carrying a datagram
+	// from SendIP through a two-medium routed path to its handler
+	// allocates nothing. Each send takes a fresh buffer, as the ownership
+	// rule demands, and the handler, its last owner, releases it.
 	s := sim.New(1)
 	a, _, c := routedNet(s)
 	delivered := 0
-	c.RegisterProto(222, func(n *Node, ip packet.IPv4) { delivered++ })
-	buf := withIPRoom(make([]byte, 100))
+	c.RegisterProto(222, func(n *Node, ip packet.IPv4) {
+		delivered++
+		n.Sched().ReleaseBuf(ip)
+	})
 	send := func() {
-		a.SendIP(222, ipC, buf)
+		a.SendIP(222, ipC, s.Buf(packet.IPv4HeaderLen+100))
 		s.Run()
 	}
 	send() // warm the free lists and the event pool
@@ -567,5 +570,79 @@ func TestSaturatedMediumQueueStaysBounded(t *testing.T) {
 	}
 	if c := cap(m.queue); c > 4*a.NIC(0).QueueCap {
 		t.Fatalf("medium queue grew to cap %d over %d frames (NIC queue cap %d)", c, sent, a.NIC(0).QueueCap)
+	}
+}
+
+// TestDropAndConsumeReleaseBuffers: a datagram's last owner gives its
+// buffer back, zeroed, whether that owner is a drop point (the loss
+// lottery here) or the protocol handler that consumed it (the ICMP echo
+// responder). A stale reference, kept here by a tap against the rules,
+// reads zeros.
+func TestDropAndConsumeReleaseBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		loss float64
+	}{{"lost", 1}, {"consumed", 0}} {
+		s := sim.New(1)
+		a, _, _ := lan(s, Static{Latency: time.Millisecond, PerByte: 100, Loss: tc.loss})
+		var sent []byte
+		a.NIC(0).SetTap(func(dir Direction, at sim.Time, ip []byte, q Quality) {
+			if dir == Outbound && sent == nil {
+				sent = ip
+			}
+		})
+		echo := packet.ICMP(make([]byte, packet.ICMPHeaderLen+32))
+		packet.PutICMPHeader(echo, packet.ICMPFields{Type: packet.ICMPEcho, ID: 1, Seq: 1})
+		buf := s.Buf(packet.IPv4HeaderLen + len(echo))
+		copy(buf[packet.IPv4HeaderLen:], echo)
+		a.SendIP(packet.ProtoICMP, ipB, buf)
+		s.Run()
+		if sent == nil {
+			t.Fatalf("%s: the echo never left", tc.name)
+		}
+		for i, b := range sent[:cap(sent)] {
+			if b != 0 {
+				t.Fatalf("%s: byte %d of the echo's buffer = %#x after its last owner: not released", tc.name, i, b)
+			}
+		}
+	}
+}
+
+// TestBroadcastFrameIsNeverReleased: every receiver of a broadcast frame
+// sees the one buffer, so no receiver's release may recycle it, whether
+// the receiver consumes it (b's echo responder), drops it (c, not
+// forwarding) or forwards it (the router, which copies it).
+func TestBroadcastFrameIsNeverReleased(t *testing.T) {
+	s := sim.New(1)
+	m := NewMedium(s, "lan", fastQuality())
+	a := NewNode(s, "a")
+	na := a.AttachNIC(m, ipA, mask)
+	b := NewNode(s, "b")
+	b.AttachNIC(m, ipB, mask)
+	c := NewNode(s, "c")
+	c.AttachNIC(m, packet.IP4(10, 0, 0, 3), mask)
+	gw := NewNode(s, "gw")
+	gw.Forwarding = true
+	gw.AttachNIC(m, ipGW, mask)
+
+	echo := packet.ICMP(make([]byte, packet.ICMPHeaderLen+8))
+	packet.PutICMPHeader(echo, packet.ICMPFields{Type: packet.ICMPEcho, ID: 1, Seq: 1})
+	ip := s.Buf(packet.IPv4HeaderLen + len(echo))
+	copy(ip[packet.IPv4HeaderLen:], echo)
+	packet.PutIPv4Header(ip, packet.IPv4Fields{TTL: 9, Protocol: packet.ProtoICMP, Src: ipA, Dst: ipB})
+	want := string(ip)
+	m.enqueue(na, broadcastHW, ip)
+	s.Run()
+
+	if b.Stats().Received == 0 || gw.Stats().Forwarded != 1 {
+		t.Fatalf("b received %d, gw forwarded %d: the broadcast did not reach its receivers", b.Stats().Received, gw.Stats().Forwarded)
+	}
+	if string(ip) != want {
+		t.Fatal("a receiver released the shared broadcast frame: its bytes changed")
+	}
+	for i := 0; i < 8; i++ {
+		if nb := s.Buf(len(ip)); &nb[0] == &ip[0] {
+			t.Fatal("the shared broadcast frame was handed out again by the free list")
+		}
 	}
 }

@@ -58,6 +58,8 @@ type User struct {
 	files []uint32
 	objs  []uint32
 
+	pattern []byte // file content, see fill
+
 	stats Stats
 }
 
@@ -104,12 +106,20 @@ func (u *User) Setup(p *sim.Proc, name string) error {
 	return nil
 }
 
+// fill returns size bytes of file content: byte i is
+// 'a' + (seed+byte(i))%26. The content repeats every 256 bytes, so it is
+// a window of u.pattern, which holds that sequence from seed 0 and
+// doubles when a larger file is asked for. The slice is read-only and
+// shared by every file this user writes; the NFS client caches it as
+// written.
 func (u *User) fill(size int, seed byte) []byte {
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = 'a' + (seed+byte(i))%26
+	if need := 256 + size; len(u.pattern) < need {
+		u.pattern = make([]byte, max(need, 2*len(u.pattern)))
+		for i := range u.pattern {
+			u.pattern[i] = 'a' + byte(i)%26
+		}
 	}
-	return data
+	return u.pattern[seed : int(seed)+size : int(seed)+size]
 }
 
 // Run drives the edit-debug cycle until end (virtual time).

@@ -132,3 +132,25 @@ func TestDefaultsFilledIn(t *testing.T) {
 		t.Fatalf("defaults = %+v", u.params)
 	}
 }
+
+func TestFillContentAndReuse(t *testing.T) {
+	u := New(nil, Params{RNG: rand.New(rand.NewSource(1))})
+	for _, tc := range []struct {
+		size int
+		seed byte
+	}{{64, 0}, {300, 7}, {5000, 0x55}, {1, 255}, {4000, 200}} {
+		got := u.fill(tc.size, tc.seed)
+		if len(got) != tc.size || cap(got) != tc.size {
+			t.Fatalf("fill(%d, %d): len %d cap %d", tc.size, tc.seed, len(got), cap(got))
+		}
+		for i, b := range got {
+			if want := 'a' + (tc.seed+byte(i))%26; b != want {
+				t.Fatalf("fill(%d, %d)[%d] = %q, want %q", tc.size, tc.seed, i, b, want)
+			}
+		}
+	}
+	// Once the pattern covers a size, filling it again allocates nothing.
+	if allocs := testing.AllocsPerRun(100, func() { u.fill(4000, 9) }); allocs != 0 {
+		t.Fatalf("fill allocates %.1f per call on a warm pattern", allocs)
+	}
+}

@@ -149,7 +149,7 @@ func (t *TCPStack) newConn(key connKey, st connState) *Conn {
 		ssthresh:    SendBufSize,
 		rto:         InitialRTO,
 		rwnd:        RecvBufSize,
-		oo:          map[uint32][]byte{},
+		oo:          map[uint32]ooSeg{},
 		established: sim.NewChan[struct{}](t.s, 1),
 		readable:    sim.NewChan[struct{}](t.s, 1),
 		writable:    sim.NewChan[struct{}](t.s, 1),
@@ -201,8 +201,8 @@ type Conn struct {
 	irs     uint32
 	rcvNxt  uint32
 	recvBuf []byte
-	recvMem []byte            // recvBuf's backing array (see queueAppend)
-	oo      map[uint32][]byte // out-of-order segments keyed by seq
+	recvMem []byte           // recvBuf's backing array (see queueAppend)
+	oo      map[uint32]ooSeg // out-of-order segments keyed by seq
 	peerFin bool
 	finRcvd uint32 // sequence number of peer FIN
 
@@ -224,6 +224,12 @@ type Conn struct {
 	// Stats.
 	Retransmits int
 	FastRetrans int
+}
+
+// ooSeg is an out-of-order segment's data and the datagram buffer it
+// lies in, released once the data is drained, replaced or discarded.
+type ooSeg struct {
+	data, buf []byte
 }
 
 // seqLT reports a < b in 32-bit sequence space.
@@ -257,7 +263,7 @@ func (c *Conn) sendSeg(flags uint8, seq, ack uint32, data []byte) {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: uint16(c.recvWindow()),
 	}
-	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, tcpDatagram(f, c.localIP(), c.key.remoteIP, data))
+	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, tcpDatagram(c.stack.s, f, c.localIP(), c.key.remoteIP, data))
 }
 
 // queueAppend appends data to q, a byte queue consumed by slicing bytes
@@ -279,10 +285,11 @@ func queueAppend(q []byte, mem *[]byte, data []byte) []byte {
 	return append((*mem)[:len(q)], data...)
 }
 
-// tcpDatagram allocates the one buffer a segment lives in from here to
-// its receiver: IP header room (SendIP fills it), then the TCP segment.
-func tcpDatagram(f packet.TCPFields, src, dst packet.IPAddr, data []byte) []byte {
-	buf := make([]byte, packet.IPv4HeaderLen+packet.TCPHeaderLen+len(data))
+// tcpDatagram takes the one buffer a segment lives in from here to its
+// receiver from s's datagram free list: IP header room (SendIP fills it),
+// then the TCP segment.
+func tcpDatagram(s *sim.Scheduler, f packet.TCPFields, src, dst packet.IPAddr, data []byte) []byte {
+	buf := s.Buf(packet.IPv4HeaderLen + packet.TCPHeaderLen + len(data))
 	seg := packet.TCP(buf[packet.IPv4HeaderLen:])
 	copy(seg[packet.TCPHeaderLen:], data)
 	packet.PutTCPHeader(seg, f, src, dst)
@@ -535,32 +542,39 @@ func (c *Conn) updateRTT(sample time.Duration) {
 	}
 }
 
-// input is the stack's segment demultiplexer.
+// input is the stack's segment demultiplexer. It owns the datagram and
+// releases its buffer once the segment is consumed, unless the
+// connection kept it for reassembly.
 func (t *TCPStack) input(n *simnet.Node, ip packet.IPv4) {
 	seg := packet.TCP(ip.Payload())
 	if seg.Valid() != nil || !seg.ChecksumOK(ip.Src(), ip.Dst()) {
+		t.s.ReleaseBuf(ip)
 		return
 	}
 	key := connKey{seg.DstPort(), ip.Src(), seg.SrcPort()}
 	if c, ok := t.conns[key]; ok {
-		c.segment(seg)
+		if !c.segment(seg, ip) {
+			t.s.ReleaseBuf(ip)
+		}
 		return
 	}
 	// New connection?
 	if seg.Flags()&packet.TCPSyn != 0 && seg.Flags()&packet.TCPAck == 0 {
 		if l, ok := t.listeners[seg.DstPort()]; ok {
 			l.acceptSyn(ip.Src(), seg)
+			t.s.ReleaseBuf(ip)
 			return
 		}
 	}
 	// No socket: refuse non-RST segments.
 	if seg.Flags()&packet.TCPRst == 0 {
-		rst := tcpDatagram(packet.TCPFields{
+		rst := tcpDatagram(t.s, packet.TCPFields{
 			SrcPort: seg.DstPort(), DstPort: seg.SrcPort(),
 			Seq: seg.Ack(), Ack: seg.Seq() + 1, Flags: packet.TCPRst | packet.TCPAck,
 		}, ip.Dst(), ip.Src(), nil)
 		t.node.SendIP(packet.ProtoTCP, ip.Src(), rst)
 	}
+	t.s.ReleaseBuf(ip)
 }
 
 func (l *Listener) acceptSyn(from packet.IPAddr, seg packet.TCP) {
@@ -577,12 +591,15 @@ func (l *Listener) acceptSyn(from packet.IPAddr, seg packet.TCP) {
 	c.armRetransmit()
 }
 
-// segment handles one arriving segment for an existing connection.
-func (c *Conn) segment(seg packet.TCP) {
+// segment handles one arriving segment for an existing connection; buf
+// is the datagram it lies in. It reports whether the connection kept buf
+// (an out-of-order segment held for reassembly); otherwise the caller
+// releases it.
+func (c *Conn) segment(seg packet.TCP, buf []byte) (kept bool) {
 	flags := seg.Flags()
 	if flags&packet.TCPRst != 0 {
 		c.fail(ErrRefused)
-		return
+		return false
 	}
 
 	switch c.state {
@@ -598,7 +615,7 @@ func (c *Conn) segment(seg packet.TCP) {
 			c.sendAck()
 			c.established.TrySend(struct{}{})
 		}
-		return
+		return false
 	case stSynRcvd:
 		if flags&packet.TCPAck != 0 && seg.Ack() == c.iss+1 {
 			c.sndUna = seg.Ack()
@@ -613,12 +630,12 @@ func (c *Conn) segment(seg packet.TCP) {
 		} else if flags&packet.TCPSyn != 0 {
 			// Duplicate SYN: re-answer.
 			c.sendSeg(packet.TCPSyn|packet.TCPAck, c.iss, c.rcvNxt, nil)
-			return
+			return false
 		} else {
-			return
+			return false
 		}
 	case stClosed:
-		return
+		return false
 	}
 
 	// ACK processing.
@@ -629,7 +646,7 @@ func (c *Conn) segment(seg packet.TCP) {
 	// Data and FIN processing.
 	data := seg.Payload()
 	if len(data) > 0 {
-		c.processData(seg.Seq(), data)
+		kept = c.processData(seg.Seq(), data, buf)
 	}
 	if flags&packet.TCPFin != 0 {
 		finSeq := seg.Seq() + uint32(len(data))
@@ -650,6 +667,7 @@ func (c *Conn) segment(seg packet.TCP) {
 			c.sendAck() // FIN beyond a hole: ack what we have
 		}
 	}
+	return kept
 }
 
 func (c *Conn) processAck(seg packet.TCP) {
@@ -773,13 +791,15 @@ func (c *Conn) processAck(seg packet.TCP) {
 	}
 }
 
-func (c *Conn) processData(seq uint32, data []byte) {
+// processData takes in a segment's data; buf is the datagram it lies in.
+// It reports whether it kept buf (see segment).
+func (c *Conn) processData(seq uint32, data, buf []byte) (kept bool) {
 	// Trim data already received.
 	if seqLT(seq, c.rcvNxt) {
 		skip := c.rcvNxt - seq
 		if int(skip) >= len(data) {
 			c.sendAck() // pure duplicate
-			return
+			return false
 		}
 		data = data[skip:]
 		seq = c.rcvNxt
@@ -788,16 +808,20 @@ func (c *Conn) processData(seq uint32, data []byte) {
 		// Out of order: buffer (bounded by window) and send a dup ack.
 		// Keep the longest data seen at a given offset; retransmissions
 		// may re-segment the stream at different boundaries. The segment
-		// is this stack's by simnet's ownership rule, so it is kept as is.
+		// is this stack's by simnet's ownership rule, so it is kept as is,
+		// datagram buffer and all.
 		if existing, dup := c.oo[seq]; dup {
-			if len(data) > len(existing) {
-				c.oo[seq] = data
+			if len(data) > len(existing.data) {
+				c.stack.s.ReleaseBuf(existing.buf)
+				c.oo[seq] = ooSeg{data, buf}
+				kept = true
 			}
 		} else if len(c.oo) < 256 {
-			c.oo[seq] = data
+			c.oo[seq] = ooSeg{data, buf}
+			kept = true
 		}
 		c.sendAck()
-		return
+		return kept
 	}
 	// In order: append, then drain out-of-order segments. Segment
 	// boundaries may not align with the hole (post-RTO retransmissions
@@ -827,6 +851,7 @@ func (c *Conn) processData(seq uint32, data []byte) {
 		c.ackSoon()
 	}
 	c.readable.TrySend(struct{}{})
+	return false
 }
 
 // limitedTransmit sends one previously unsent segment in response to an
@@ -861,17 +886,19 @@ func (c *Conn) limitedTransmit() {
 func (c *Conn) drainOutOfOrder() {
 	for {
 		advanced := false
-		for seq, data := range c.oo {
-			end := seq + uint32(len(data))
+		for seq, e := range c.oo {
+			end := seq + uint32(len(e.data))
 			if seqLE(end, c.rcvNxt) {
 				delete(c.oo, seq) // entirely stale
+				c.stack.s.ReleaseBuf(e.buf)
 				continue
 			}
 			if seqLE(seq, c.rcvNxt) {
 				skip := c.rcvNxt - seq
-				c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, data[skip:])
+				c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, e.data[skip:])
 				c.rcvNxt = end
 				delete(c.oo, seq)
+				c.stack.s.ReleaseBuf(e.buf)
 				advanced = true
 			}
 		}

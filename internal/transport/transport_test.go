@@ -569,3 +569,62 @@ func TestTCPDeterministic(t *testing.T) {
 		t.Fatalf("runs differ: %v vs %v", a, b)
 	}
 }
+
+// TestReleasedDatagramsReadZero: a receiver that is done with a datagram
+// gives its buffer back, zeroed. For UDP that is the socket's reader,
+// through Release; for TCP it is the stack's input, once the segment's
+// data is in the receive queue. A stale reference (kept here against the
+// ownership rule) reads zeros rather than another datagram's bytes.
+func TestReleasedDatagramsReadZero(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(s, fastLAN())
+	sa, _ := NewUDP(a).Bind(0)
+	sb, _ := NewUDP(b).Bind(2049)
+	s.Spawn("udp", func(p *sim.Proc) {
+		sa.SendTo(ipB, 2049, []byte("released"))
+		d, _ := sb.Recv(p)
+		if string(d.Data) != "released" {
+			t.Errorf("received %q", d.Data)
+		}
+		sb.Release(d)
+		if !bytes.Equal(d.Data, make([]byte, len("released"))) {
+			t.Errorf("a released datagram reads %q, want zeros", d.Data)
+		}
+	})
+	s.Run()
+
+	var segs [][]byte // every TCP datagram b's NIC took in
+	b.NIC(0).SetTap(func(dir simnet.Direction, at sim.Time, ip []byte, q simnet.Quality) {
+		if dir == simnet.Inbound && packet.IPv4(ip).Protocol() == packet.ProtoTCP {
+			segs = append(segs, ip)
+		}
+	})
+	ta, tb := NewTCP(a), NewTCP(b)
+	l, _ := tb.Listen(20)
+	payload := bytes.Repeat([]byte("x"), 8*MSS)
+	var got []byte
+	s.Spawn("server", func(p *sim.Proc) {
+		c, _ := l.Accept(p)
+		got, _ = c.ReadFull(p, len(payload))
+		c.Close()
+	})
+	s.Spawn("client", func(p *sim.Proc) {
+		c, _ := ta.Dial(p, ipB, 20)
+		c.Write(p, payload)
+		c.Close()
+	})
+	s.Run()
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("TCP delivered %d bytes, want %d", len(got), len(payload))
+	}
+	if len(segs) < 8 {
+		t.Fatalf("tapped %d inbound segments, want the 8 data segments at least", len(segs))
+	}
+	for i, seg := range segs {
+		for _, c := range seg[:cap(seg)] {
+			if c != 0 {
+				t.Fatalf("inbound segment %d still holds bytes after TCP consumed it", i)
+			}
+		}
+	}
+}

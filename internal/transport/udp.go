@@ -19,11 +19,15 @@ import (
 // MaxDatagram is the largest UDP payload that fits the MTU unfragmented.
 const MaxDatagram = packet.MTU - packet.IPv4HeaderLen - packet.UDPHeaderLen
 
-// Datagram is one received UDP message.
+// Datagram is one received UDP message. Data lies inside the datagram's
+// network buffer; the receiver owns it and may give it back with
+// UDPSocket.Release once done with Data.
 type Datagram struct {
 	From     packet.IPAddr
 	FromPort uint16
 	Data     []byte
+
+	buf []byte // the whole IP datagram Data lies in
 }
 
 // UDPStack demultiplexes UDP traffic on one node.
@@ -46,17 +50,21 @@ func (u *UDPStack) Node() *simnet.Node { return u.node }
 func (u *UDPStack) input(n *simnet.Node, ip packet.IPv4) {
 	dg := packet.UDP(ip.Payload())
 	if dg.Valid() != nil || !dg.ChecksumOK(ip.Src(), ip.Dst()) {
+		n.Sched().ReleaseBuf(ip)
 		return
 	}
 	sock, ok := u.socks[dg.DstPort()]
 	if !ok {
+		n.Sched().ReleaseBuf(ip)
 		return
 	}
 	// The datagram is this stack's by simnet's ownership rule: hand the
 	// payload to the socket without copying, capped so an append by the
-	// reader cannot run into bytes past it.
+	// reader cannot run into bytes past it. A full receive queue drops it.
 	data := dg.Payload()
-	sock.recvq.TrySend(Datagram{From: ip.Src(), FromPort: dg.SrcPort(), Data: data[:len(data):len(data)]})
+	if !sock.recvq.TrySend(Datagram{From: ip.Src(), FromPort: dg.SrcPort(), Data: data[:len(data):len(data)], buf: ip}) {
+		n.Sched().ReleaseBuf(ip)
+	}
 }
 
 // ErrPortInUse is returned by Bind for an occupied port.
@@ -95,21 +103,29 @@ type UDPSocket struct {
 // Port returns the bound local port.
 func (s *UDPSocket) Port() uint16 { return s.port }
 
-// NewDatagram returns buf, a buffer for one outgoing datagram of n payload
-// bytes with room for the UDP and IPv4 headers in front, and payload, its
-// last n bytes. A sender fills payload in place and passes buf to
-// SendDatagram, so the message is written once, straight into the wire
-// datagram.
-func NewDatagram(n int) (buf, payload []byte) {
-	buf = make([]byte, packet.IPv4HeaderLen+packet.UDPHeaderLen+n)
+// NewDatagram returns buf, a zeroed buffer for one outgoing datagram of n
+// payload bytes with room for the UDP and IPv4 headers in front, taken
+// from the scheduler's datagram free list, and payload, its last n bytes.
+// A sender fills payload in place and passes buf to SendDatagram, so the
+// message is written once, straight into the wire datagram.
+func (s *UDPSocket) NewDatagram(n int) (buf, payload []byte) {
+	buf = s.stack.node.Sched().Buf(packet.IPv4HeaderLen + packet.UDPHeaderLen + n)
 	return buf, buf[packet.IPv4HeaderLen+packet.UDPHeaderLen:]
+}
+
+// Release gives a received datagram's buffer back to the scheduler's free
+// list. The caller must be done with d.Data: the bytes are zeroed and
+// reused for a later datagram. Releasing is optional (an unreleased
+// datagram is garbage) and must happen at most once.
+func (s *UDPSocket) Release(d Datagram) {
+	s.stack.node.Sched().ReleaseBuf(d.buf)
 }
 
 // SendTo transmits a copy of data to the remote address and port.
 // Payloads larger than MaxDatagram panic: this stack does not fragment, so
 // protocols above must chunk (as the NFS substrate does).
 func (s *UDPSocket) SendTo(dst packet.IPAddr, port uint16, data []byte) bool {
-	buf, payload := NewDatagram(len(data))
+	buf, payload := s.NewDatagram(len(data))
 	copy(payload, data)
 	return s.SendDatagram(dst, port, buf)
 }
@@ -124,6 +140,7 @@ func (s *UDPSocket) SendDatagram(dst packet.IPAddr, port uint16, buf []byte) boo
 	}
 	src, ok := s.stack.node.SrcFor(dst)
 	if !ok {
+		s.stack.node.Sched().ReleaseBuf(buf)
 		return false
 	}
 	dg := packet.UDP(buf[packet.IPv4HeaderLen:])
