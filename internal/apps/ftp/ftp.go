@@ -85,15 +85,15 @@ func serveConn(p *sim.Proc, c *transport.Conn) {
 
 func readLine(p *sim.Proc, c *transport.Conn) (string, error) {
 	var line []byte
+	var b [1]byte
 	for {
-		b, err := c.Read(p, 1)
-		if err != nil {
+		if _, err := c.Read(p, b[:]); err != nil {
 			return "", err
 		}
-		if len(b) == 1 && b[0] == '\n' {
+		if b[0] == '\n' {
 			return string(line), nil
 		}
-		line = append(line, b...)
+		line = append(line, b[0])
 	}
 }
 
@@ -123,13 +123,13 @@ func streamBytes(p *sim.Proc, c *transport.Conn, n int, diskRate float64) error 
 // sinkBytes reads n bytes, sleeping for disk writes at diskRate.
 func sinkBytes(p *sim.Proc, c *transport.Conn, n int, diskRate float64) error {
 	for got := 0; got < n; {
-		chunk, err := c.Read(p, ChunkSize)
+		chunk, err := c.Discard(p, ChunkSize)
 		if err != nil {
 			return err
 		}
-		got += len(chunk)
+		got += chunk
 		if diskRate > 0 {
-			p.Sleep(time.Duration(float64(len(chunk)) / diskRate * float64(time.Second)))
+			p.Sleep(time.Duration(float64(chunk) / diskRate * float64(time.Second)))
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tracemod/internal/packet"
@@ -136,6 +137,22 @@ func (srv *Server) loop(p *sim.Proc) {
 	}
 }
 
+// growZeroed extends a file's contents b to length n with zeros. An
+// array that must grow doubles, so a file written block by block copies
+// each byte O(1) times; append's growth for large slices (1.25x) made the
+// server's files cost about five times their final size.
+func growZeroed(b []byte, n int) []byte {
+	if n > cap(b) {
+		grown := make([]byte, n, max(n, 2*cap(b)))
+		copy(grown, b)
+		return grown
+	}
+	old := len(b)
+	b = b[:n]
+	clear(b[old:]) // a truncation may have left old bytes here
+	return b
+}
+
 // handle services one call and returns the reply built in place in a
 // NewDatagram buffer; requests are idempotent so duplicate retransmissions
 // are harmless. Nothing handle keeps may alias req, whose buffer the
@@ -254,7 +271,7 @@ func (srv *Server) handle(req []byte) []byte {
 		}
 		data := body[10 : 10+dlen]
 		if need := off + dlen; need > len(n.data) {
-			n.data = append(n.data, make([]byte, need-len(n.data))...)
+			n.data = growZeroed(n.data, need)
 		}
 		copy(n.data[off:], data)
 		n.attr.Size = uint32(len(n.data))
@@ -321,7 +338,7 @@ func (srv *Server) handle(req []byte) []byte {
 		case size < len(n.data):
 			n.data = n.data[:size]
 		case size > len(n.data):
-			n.data = append(n.data, make([]byte, size-len(n.data))...)
+			n.data = growZeroed(n.data, size)
 		}
 		n.attr.Size = uint32(size)
 		n.attr.Mtime = int64(srv.s.Now())
@@ -400,6 +417,12 @@ type Client struct {
 
 	attrCache map[uint32]cachedAttr
 	dataCache map[uint32][]byte
+	// readBufs holds, per file handle, the buffer ReadFile last filled
+	// from the server, refilled by its next fetch of that file when big
+	// enough. Only ReadFile's own buffers go here: WriteFile caches the
+	// caller's data, which may alias other files' (synrgen's contents are
+	// windows of one shared pattern), so it is never written over.
+	readBufs map[uint32][]byte
 
 	// Stats.
 	RPCs        int
@@ -422,6 +445,7 @@ func NewClient(s *sim.Scheduler, stack *transport.UDPStack, server packet.IPAddr
 		s: s, stack: stack, sock: sock, server: server,
 		attrCache: map[uint32]cachedAttr{},
 		dataCache: map[uint32][]byte{},
+		readBufs:  map[uint32][]byte{},
 	}, nil
 }
 
@@ -676,6 +700,12 @@ func (c *Client) WriteFile(p *sim.Proc, fh uint32, data []byte) error {
 // single status check (GETATTR against cached mtime); on a miss the data
 // moves in BlockSize READ exchanges. This is what makes the warm-cache
 // phases of the Andrew benchmark status-check-only.
+//
+// A miss fills a buffer the client keeps for fh, reused by its next miss
+// on fh whenever it is large enough. The returned slice is therefore
+// valid, and must not be modified, until the next ReadFile of fh; a
+// caller that keeps the contents longer copies them (and must copy them
+// before handing them to WriteFile, which caches what it is given).
 func (c *Client) ReadFile(p *sim.Proc, fh uint32) ([]byte, error) {
 	attr, err := c.Getattr(p, fh)
 	if err != nil {
@@ -685,7 +715,8 @@ func (c *Client) ReadFile(p *sim.Proc, fh uint32) ([]byte, error) {
 		c.CacheHits++
 		return cached, nil
 	}
-	data := make([]byte, 0, attr.Size)
+	// Grow as append does, with headroom, since files mostly grow.
+	data := slices.Grow(c.readBufs[fh][:0], int(attr.Size))
 	for off := 0; off < int(attr.Size); off += BlockSize {
 		count := int(attr.Size) - off
 		if count > BlockSize {
@@ -701,6 +732,7 @@ func (c *Client) ReadFile(p *sim.Proc, fh uint32) ([]byte, error) {
 		}
 		data = append(data, reply...)
 	}
+	c.readBufs[fh] = data
 	c.dataCache[fh] = data
 	return data, nil
 }

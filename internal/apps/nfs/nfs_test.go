@@ -3,6 +3,7 @@ package nfs
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -474,5 +475,59 @@ func TestNFSWriteRPCAllocs(t *testing.T) {
 	t.Logf("%.2f allocs per WRITE RPC", allocs)
 	if allocs > 1 {
 		t.Errorf("one WRITE RPC allocates %.2f, ceiling 1", allocs)
+	}
+}
+
+// TestReadFileReusesItsBuffer: re-reading a file from the server after
+// FlushFile, at an unchanged size, refills the buffer the client filled
+// last time, so the payload allocates nothing; the READ RPCs themselves
+// allocate nothing either (see TestNFSWriteRPCAllocs). A fresh buffer per
+// read measured 16,486 bytes per 16 KiB read.
+func TestReadFileReusesItsBuffer(t *testing.T) {
+	s, c, _ := setup(t, 22)
+	content := make([]byte, 16*BlockSize)
+	for i := range content {
+		content[i] = byte(i * 7)
+	}
+	var fh uint32
+	reread := func(p *sim.Proc) []byte {
+		c.FlushFile(fh)
+		data, err := c.ReadFile(p, fh)
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		return data
+	}
+	s.Spawn("setup", func(p *sim.Proc) {
+		f, err := c.Create(p, RootFH, "f")
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		fh = f.FH
+		if err := c.WriteFile(p, fh, content); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		first := reread(p)
+		if second := reread(p); &first[0] != &second[0] || !bytes.Equal(second, content) {
+			t.Error("a same-size re-read did not refill the first read's buffer with the file")
+		}
+	})
+	s.RunUntil(sim.Time(time.Minute))
+	const reads = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Spawn("reader", func(p *sim.Proc) {
+		for i := 0; i < reads; i++ {
+			reread(p)
+		}
+	})
+	s.RunUntil(s.Now().Add(time.Hour))
+	runtime.ReadMemStats(&after)
+	s.Close()
+	perRead := float64(after.TotalAlloc-before.TotalAlloc) / reads
+	t.Logf("%.0f bytes allocated per %d-byte re-read", perRead, len(content))
+	if perRead >= BlockSize {
+		t.Errorf("a same-size re-read allocates %.0f bytes, want under one %d-byte block", perRead, BlockSize)
 	}
 }

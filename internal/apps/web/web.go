@@ -81,43 +81,62 @@ func Serve(s *sim.Scheduler, stack *transport.TCPStack) {
 	if err != nil {
 		panic(fmt.Sprintf("web: listen: %v", err))
 	}
+	srv := &server{}
 	s.Spawn("web-server", func(p *sim.Proc) {
 		for {
 			conn, ok := l.Accept(p)
 			if !ok {
 				return
 			}
-			s.Spawn("web-conn", func(p *sim.Proc) { serveConn(p, conn) })
+			s.Spawn("web-conn", func(p *sim.Proc) { srv.serveConn(p, conn) })
 		}
 	})
 }
 
-func serveConn(p *sim.Proc, c *transport.Conn) {
+// server is one web server's state shared by its connections.
+type server struct {
+	// pattern holds the body bytes 'a'+i%26, as long as the largest
+	// body served so far. Growing it allocates a new array and never
+	// rewrites the old one, which a connection may still be writing.
+	pattern []byte
+}
+
+// body returns the first size bytes of the server's body pattern.
+func (srv *server) body(size int) []byte {
+	if len(srv.pattern) < size {
+		srv.pattern = make([]byte, size)
+		for i := range srv.pattern {
+			srv.pattern[i] = byte('a' + i%26)
+		}
+	}
+	return srv.pattern[:size]
+}
+
+func (srv *server) serveConn(p *sim.Proc, c *transport.Conn) {
 	defer c.Close()
-	var req []byte
+	// The request line is read 64 bytes at a time and given up on past
+	// 512 bytes, so it never outgrows this connection's buffer.
+	var req [512 + 64]byte
+	n := 0
 	for {
-		b, err := c.Read(p, 64)
+		k, err := c.Read(p, req[n:n+64])
 		if err != nil {
 			return
 		}
-		req = append(req, b...)
-		if n := len(req); n > 0 && req[n-1] == '\n' {
+		n += k
+		if n > 0 && req[n-1] == '\n' {
 			break
 		}
-		if len(req) > 512 {
+		if n > 512 {
 			return
 		}
 	}
 	var size int
-	if _, err := fmt.Sscanf(string(req), "GET %d", &size); err != nil {
+	if _, err := fmt.Sscanf(string(req[:n]), "GET %d", &size); err != nil {
 		return
 	}
-	body := make([]byte, size)
-	for i := range body {
-		body[i] = byte('a' + i%26)
-	}
 	c.Write(p, []byte(fmt.Sprintf("HTTP/1.0 200 OK\nContent-Length: %d\n\n", size)))
-	c.Write(p, body)
+	c.Write(p, srv.body(size))
 }
 
 // fetch retrieves one object over a fresh connection, Mosaic-style.
@@ -131,18 +150,23 @@ func fetch(p *sim.Proc, stack *transport.TCPStack, server packet.IPAddr, size in
 		return err
 	}
 	// Read header line-by-line until the blank line, then the body.
-	lines := 0
-	for lines < 3 {
-		b, err := c.Read(p, 1)
-		if err != nil {
+	var b [1]byte
+	for lines := 0; lines < 3; {
+		if _, err := c.Read(p, b[:]); err != nil {
 			return err
 		}
-		if len(b) == 1 && b[0] == '\n' {
+		if b[0] == '\n' {
 			lines++
 		}
 	}
-	_, err = c.ReadFull(p, size)
-	return err
+	for got := 0; got < size; {
+		n, err := c.Discard(p, size-got)
+		if err != nil {
+			return err
+		}
+		got += n
+	}
+	return nil
 }
 
 // Config parameterizes a benchmark run.

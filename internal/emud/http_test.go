@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -265,7 +267,23 @@ func TestAPIStopWithDrain(t *testing.T) {
 // through the hardened handler (metrics on, so the obs routes are
 // mounted). The route table is built once per Handler; rebuilding it per
 // request costs hundreds of allocations and would trip this ceiling.
+//
+// AllocsPerRun counts every goroutine's allocations, and earlier tests
+// in this process may leave goroutines winding down (a repeated run
+// with the chaos suite read 82–95), so the measurement runs in a child
+// process of this test binary that runs this test alone.
 func TestHandlerRequestAllocs(t *testing.T) {
+	const childEnv = "EMUD_HANDLER_ALLOCS_CHILD"
+	if os.Getenv(childEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHandlerRequestAllocs$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), childEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("measured alone:\n%s", out)
+		if err != nil {
+			t.Fatalf("the measuring child failed: %v", err)
+		}
+		return
+	}
 	reg := obs.NewRegistry()
 	m := NewManager(Options{Metrics: reg, Granularity: time.Millisecond})
 	defer m.Close()

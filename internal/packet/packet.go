@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // LayerType identifies a protocol layer in the registry.
@@ -93,33 +94,47 @@ func (ip IPAddr) String() string {
 // Checksum computes the RFC 1071 internet checksum over data with an
 // initial partial sum (pass 0 unless folding in a pseudo-header).
 //
-// It adds 32-bit big-endian words into a 64-bit accumulator and folds the
-// carries once at the end: a 32-bit word hi<<16|lo is congruent to hi+lo
-// modulo 0xffff, so this is the 16-bit ones'-complement sum computed two
-// words at a time (RFC 1071 §2(B) and (C)).
+// It adds 64-bit big-endian words with an end-around carry (each carry
+// out of bit 63 is added back in at bit 0) and folds the sum to 16 bits
+// once at the end. Since 2^16 ≡ 1 modulo 0xffff, so is 2^64, and a 64-bit
+// word is congruent to the sum of its four 16-bit halves: this is the
+// 16-bit ones'-complement sum computed four words at a time (RFC 1071
+// §2(B) and (C)).
 func Checksum(data []byte, initial uint32) uint16 {
-	sum := uint64(initial)
-	for len(data) >= 16 {
-		sum += uint64(binary.BigEndian.Uint32(data[0:4])) +
-			uint64(binary.BigEndian.Uint32(data[4:8])) +
-			uint64(binary.BigEndian.Uint32(data[8:12])) +
-			uint64(binary.BigEndian.Uint32(data[12:16]))
-		data = data[16:]
+	sum, carry := uint64(initial), uint64(0)
+	for len(data) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[24:32]), carry)
+		data = data[32:]
 	}
-	for len(data) >= 4 {
-		sum += uint64(binary.BigEndian.Uint32(data))
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
+	}
+	// The tail (under 8 bytes) starts at an even offset, so its 16-bit
+	// words keep their alignment; where they land in the sum does not
+	// matter, as 2^16 ≡ 1.
+	var tail uint64
+	if len(data) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(data))
 		data = data[4:]
 	}
 	if len(data) >= 2 {
-		sum += uint64(binary.BigEndian.Uint16(data))
+		tail += uint64(binary.BigEndian.Uint16(data))
 		data = data[2:]
 	}
 	if len(data) == 1 {
-		sum += uint64(data[0]) << 8
+		tail += uint64(data[0]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
+	sum, carry = bits.Add64(sum, tail, carry)
+	sum, carry = bits.Add64(sum, 0, carry)
+	sum += carry // sum is 0 here if it wrapped, so this cannot carry
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 

@@ -67,12 +67,20 @@ func checksum16(data []byte, initial uint32) uint16 {
 	return ^uint16(sum)
 }
 
+// TestChecksumMatchesReference checks the word-at-a-time sum against the
+// 16-bit reference: random lengths, half of them odd so a lone final byte
+// is left, starting at any offset, over random, all-0xff and zero data,
+// with initial sums (the pseudo-header's) that push the end-around carry.
 func TestChecksumMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1071))
-	buf := make([]byte, 4096)
+	buf := make([]byte, 4096+8)
 	for i := 0; i < 5000; i++ {
-		n := rng.Intn(len(buf) + 1)
-		data := buf[:n]
+		n := rng.Intn(4096 + 1)
+		if i%2 == 1 {
+			n |= 1
+		}
+		off := rng.Intn(8)
+		data := buf[off : off+n]
 		switch i % 3 {
 		case 0:
 			rng.Read(data)
@@ -90,10 +98,10 @@ func TestChecksumMatchesReference(t *testing.T) {
 			initial = 0
 		}
 		if got, want := Checksum(data, initial), checksum16(data, initial); got != want {
-			t.Fatalf("len %d initial %#x: Checksum = %04x, reference %04x", n, initial, got, want)
+			t.Fatalf("len %d offset %d initial %#x: Checksum = %04x, reference %04x", n, off, initial, got, want)
 		}
 	}
-	for n := 0; n < 40; n++ { // every tail shape around the 4- and 16-byte strides
+	for n := 0; n < 80; n++ { // every tail shape around the 8- and 32-byte strides
 		data := make([]byte, n)
 		for j := range data {
 			data[j] = byte(j*37 + 11)

@@ -68,6 +68,7 @@ type TCPStack struct {
 	conns     map[connKey]*Conn
 	listeners map[uint16]*Listener
 	ephemeral uint16
+	arrays    queueArrays // send and receive queue arrays of closed conns
 }
 
 // NewTCP installs a TCP stack on node.
@@ -266,18 +267,61 @@ func (c *Conn) sendSeg(flags uint8, seq, ack uint32, data []byte) {
 	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, tcpDatagram(c.stack.s, f, c.localIP(), c.key.remoteIP, data))
 }
 
+// minQueueArray is the smallest backing array a byte queue takes, so the
+// arrays of short connections (a request line, a web object) recycle
+// between them whatever each one carried.
+const minQueueArray = 4 << 10
+
+// queueArrays is a stack's free list of byte-queue backing arrays. Like
+// the scheduler's datagram free lists it needs no lock and dies with its
+// stack: nothing is shared between simulations.
+type queueArrays [][]byte
+
+// get returns an array of at least n bytes: the smallest free one that
+// fits, so large arrays stay free for the queues that need them, or a new
+// one.
+func (f *queueArrays) get(n int) []byte {
+	best := -1
+	for i, b := range *f {
+		if cap(b) >= n && (best < 0 || cap(b) < cap((*f)[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, max(n, minQueueArray))
+	}
+	b := (*f)[best]
+	last := len(*f) - 1
+	(*f)[best] = (*f)[last]
+	(*f)[last] = nil
+	*f = (*f)[:last]
+	return b[:cap(b)]
+}
+
+// put hands back an array whose queue no longer reads or writes it.
+func (f *queueArrays) put(b []byte) {
+	if cap(b) > 0 {
+		*f = append(*f, b)
+	}
+}
+
 // queueAppend appends data to q, a byte queue consumed by slicing bytes
 // off its front, inside the backing array *mem. When q's tail reaches the
-// end of *mem, q's live bytes first move back to the front of *mem (which
-// grows only if they still do not fit), so a queue in steady state
-// allocates nothing however many bytes stream through it.
-func queueAppend(q []byte, mem *[]byte, data []byte) []byte {
+// end of *mem, q's live bytes slide back to the front of *mem if they
+// then fill at most half of it; otherwise they move to an array of twice
+// their new length from free, and the old array goes back to free.
+// Either way the free room left behind is at least the number of live
+// bytes, so each byte is copied O(1) times on average, and a queue in
+// steady state allocates nothing however many bytes stream through it.
+func queueAppend(q []byte, mem *[]byte, data []byte, free *queueArrays) []byte {
 	if len(q)+len(data) <= cap(q) {
 		return append(q, data...)
 	}
-	if need := len(q) + len(data); need > cap(*mem) {
-		grown := make([]byte, 2*need)
+	need := len(q) + len(data)
+	if need > cap(*mem)/2 {
+		grown := free.get(2 * need)
 		copy(grown, q)
+		free.put(*mem)
 		*mem = grown
 	} else {
 		copy(*mem, q)
@@ -514,6 +558,7 @@ func (c *Conn) fail(err error) {
 	c.disarmRetransmit()
 	c.delAckTimer.Stop()
 	delete(c.stack.conns, c.key)
+	c.releaseQueues()
 	c.established.TrySend(struct{}{})
 	c.readable.TrySend(struct{}{})
 	c.writable.TrySend(struct{}{})
@@ -828,7 +873,7 @@ func (c *Conn) processData(seq uint32, data, buf []byte) (kept bool) {
 	// re-segment), so the drain is overlap-tolerant rather than an
 	// exact-key lookup.
 	filledHole := len(c.oo) > 0
-	c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, data)
+	c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, data, &c.stack.arrays)
 	c.rcvNxt += uint32(len(data))
 	c.drainOutOfOrder()
 	// Deferred FIN that data just reached?
@@ -895,7 +940,7 @@ func (c *Conn) drainOutOfOrder() {
 			}
 			if seqLE(seq, c.rcvNxt) {
 				skip := c.rcvNxt - seq
-				c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, e.data[skip:])
+				c.recvBuf = queueAppend(c.recvBuf, &c.recvMem, e.data[skip:], &c.stack.arrays)
 				c.rcvNxt = end
 				delete(c.oo, seq)
 				c.stack.s.ReleaseBuf(e.buf)
@@ -917,8 +962,21 @@ func (c *Conn) teardown() {
 	c.disarmRetransmit()
 	c.delAckTimer.Stop()
 	delete(c.stack.conns, c.key)
+	c.releaseQueues()
 	c.readable.TrySend(struct{}{})
 	c.writable.TrySend(struct{}{})
+}
+
+// releaseQueues hands a closed connection's queue arrays back to its
+// stack: the send array at once, since nothing is sent any more, and the
+// receive array once the application has read it empty (see consume).
+func (c *Conn) releaseQueues() {
+	c.stack.arrays.put(c.sendMem)
+	c.sendBuf, c.sendMem = nil, nil
+	if len(c.recvBuf) == 0 {
+		c.stack.arrays.put(c.recvMem)
+		c.recvBuf, c.recvMem = nil, nil
+	}
 }
 
 // --- Application API (called from simulation processes) ---
@@ -946,39 +1004,52 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if n > room {
 			n = room
 		}
-		c.sendBuf = queueAppend(c.sendBuf, &c.sendMem, data[written:written+n])
+		c.sendBuf = queueAppend(c.sendBuf, &c.sendMem, data[written:written+n], &c.stack.arrays)
 		written += n
 		c.trySend()
 	}
 	return written, nil
 }
 
-// Read returns up to max buffered bytes, blocking until data is available,
-// the peer closes (io-style: remaining data first, then ErrClosed), or the
-// connection fails.
-func (c *Conn) Read(p *sim.Proc, max int) ([]byte, error) {
-	return c.readAppend(p, nil, max)
+// Read copies up to len(buf) buffered bytes into buf, blocking until data
+// is available, the peer closes (io-style: remaining data first, then
+// ErrClosed), or the connection fails. It returns the number of bytes
+// copied; buf stays the caller's.
+func (c *Conn) Read(p *sim.Proc, buf []byte) (int, error) {
+	return c.consume(p, buf, len(buf))
 }
 
-// ReadFull reads exactly n bytes unless the connection ends first, in which
-// case it returns the bytes received so far with Read's error.
-func (c *Conn) ReadFull(p *sim.Proc, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		var err error
-		if out, err = c.readAppend(p, out, n-len(out)); err != nil {
-			return out, err
+// ReadFull fills buf unless the connection ends first, in which case it
+// returns the number of bytes received so far with Read's error. Each
+// pass takes what is buffered, as Read does.
+func (c *Conn) ReadFull(p *sim.Proc, buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		k, err := c.consume(p, buf[n:], len(buf)-n)
+		n += k
+		if err != nil {
+			return n, err
 		}
 	}
-	return out, nil
+	return n, nil
 }
 
-// readAppend is Read appending straight from the receive buffer to out.
-func (c *Conn) readAppend(p *sim.Proc, out []byte, max int) ([]byte, error) {
+// Discard consumes up to n buffered bytes without copying them, blocking
+// and failing as Read does, and returns how many it consumed.
+func (c *Conn) Discard(p *sim.Proc, n int) (int, error) {
+	return c.consume(p, nil, n)
+}
+
+// consume takes up to max bytes off the front of the receive queue,
+// copying them into dst unless dst is nil. Once at most half the receive
+// buffer is left full the window has reopened, and the peer hears of it
+// at once. A closed connection's receive array goes back to the stack
+// when the application reads it empty.
+func (c *Conn) consume(p *sim.Proc, dst []byte, max int) (int, error) {
 	for {
 		if len(c.recvBuf) > 0 {
 			n := min(len(c.recvBuf), max)
-			out = append(out, c.recvBuf[:n]...)
+			copy(dst, c.recvBuf[:n])
 			c.recvBuf = c.recvBuf[n:]
 			if RecvBufSize-len(c.recvBuf) >= RecvBufSize/2 {
 				// Window reopened substantially; let the peer know.
@@ -986,16 +1057,19 @@ func (c *Conn) readAppend(p *sim.Proc, out []byte, max int) ([]byte, error) {
 					c.sendAck()
 				}
 			}
-			return out, nil
+			if c.state == stClosed && len(c.recvBuf) == 0 {
+				c.releaseQueues()
+			}
+			return n, nil
 		}
 		if c.peerFin && c.rcvNxt == c.finRcvd+1 {
-			return out, ErrClosed // clean EOF
+			return 0, ErrClosed // clean EOF
 		}
 		if c.state == stClosed {
 			if c.failure != nil {
-				return out, c.failure
+				return 0, c.failure
 			}
-			return out, ErrClosed
+			return 0, ErrClosed
 		}
 		c.readable.Recv(p)
 	}

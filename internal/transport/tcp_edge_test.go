@@ -162,12 +162,13 @@ func TestBidirectionalSimultaneousTransfer(t *testing.T) {
 			c.Write(p, down)
 			c.Close()
 		})
+		buf := make([]byte, 64*1024)
 		for len(gotUp) < size {
-			chunk, err := c.Read(p, 64*1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				break
 			}
-			gotUp = append(gotUp, chunk...)
+			gotUp = append(gotUp, buf[:n]...)
 		}
 		inner.Wait(p)
 	})
@@ -181,12 +182,13 @@ func TestBidirectionalSimultaneousTransfer(t *testing.T) {
 		inner.Go("client-write", func(p *sim.Proc) {
 			c.Write(p, up)
 		})
+		buf := make([]byte, 64*1024)
 		for len(gotDown) < size {
-			chunk, err := c.Read(p, 64*1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				break
 			}
-			gotDown = append(gotDown, chunk...)
+			gotDown = append(gotDown, buf[:n]...)
 		}
 		inner.Wait(p)
 		c.Close()
@@ -227,12 +229,13 @@ func TestBurstLossRecovery(t *testing.T) {
 	var received []byte
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
+		buf := make([]byte, 64*1024)
 		for {
-			chunk, err := c.Read(p, 64*1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				break
 			}
-			received = append(received, chunk...)
+			received = append(received, buf[:n]...)
 		}
 	})
 	s.Spawn("client", func(p *sim.Proc) {
@@ -257,7 +260,7 @@ func TestConnStateStrings(t *testing.T) {
 	var c *Conn
 	s.Spawn("server", func(p *sim.Proc) {
 		sc, _ := l.Accept(p)
-		sc.Read(p, 1)
+		sc.Discard(p, 1)
 	})
 	s.Spawn("client", func(p *sim.Proc) {
 		c, _ = ta.Dial(p, ipB, 7)
@@ -276,6 +279,7 @@ func TestConnStateStrings(t *testing.T) {
 
 func TestQueueAppendIsFIFOAndReusesMemory(t *testing.T) {
 	var q, mem []byte
+	var free queueArrays
 	var want []byte // the reference queue
 	next := byte(0)
 	push := func(n int) {
@@ -284,7 +288,7 @@ func TestQueueAppendIsFIFOAndReusesMemory(t *testing.T) {
 			data[i] = next
 			next++
 		}
-		q = queueAppend(q, &mem, data)
+		q = queueAppend(q, &mem, data, &free)
 		want = append(want, data...)
 	}
 	pop := func(n int) {
@@ -300,9 +304,115 @@ func TestQueueAppendIsFIFOAndReusesMemory(t *testing.T) {
 	// Steady state: a bounded queue streaming through reuses its array.
 	data := make([]byte, 1460)
 	if allocs := testing.AllocsPerRun(100, func() {
-		q = queueAppend(q, &mem, data)
+		q = queueAppend(q, &mem, data, &free)
 		q = q[len(data):]
 	}); allocs != 0 {
 		t.Fatalf("steady-state queueAppend allocates %.1f per call", allocs)
+	}
+}
+
+// TestQueueAppendAmortisesCopies holds queueAppend's invariant: after any
+// slide or growth the free room behind the tail is at least the number of
+// live bytes, so a full send queue streaming MSS-sized appends and acks
+// moves at most as many bytes as it takes in. (Sliding whenever the live
+// bytes merely fit moved a whole 64 KiB queue on nearly every append.)
+func TestQueueAppendAmortisesCopies(t *testing.T) {
+	var q, mem []byte
+	var free queueArrays
+	data := make([]byte, MSS)
+	moved, appended := 0, 0
+	push := func() {
+		slow := len(q)+len(data) > cap(q)
+		live := len(q)
+		q = queueAppend(q, &mem, data, &free)
+		if !slow {
+			return
+		}
+		moved += live
+		if &q[0] != &mem[0] {
+			t.Fatalf("a slide or growth left the queue off the front of its array")
+		}
+		if room := cap(q) - len(q); room < len(q) {
+			t.Fatalf("after a slide or growth: %d bytes free behind %d live", room, len(q))
+		}
+	}
+	for len(q) < SendBufSize-MSS {
+		push()
+	}
+	moved = 0
+	for i := 0; i < 10000; i++ {
+		push()
+		appended += len(data)
+		q = q[MSS:] // an ack takes a segment off the front
+	}
+	if moved > appended {
+		t.Fatalf("streaming %d bytes through a full queue moved %d (%.1f per byte), want at most 1 per byte",
+			appended, moved, float64(moved)/float64(appended))
+	}
+	t.Logf("moved %.2f bytes per byte appended", float64(moved)/float64(appended))
+}
+
+// TestClosedConnsRecycleQueueArrays: a torn-down connection gives its
+// queue arrays back to its stack, the receive array only once the
+// application has read it empty, and the stack's next connection of the
+// same shape reuses them instead of allocating.
+func TestClosedConnsRecycleQueueArrays(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(s, fastLAN())
+	ta, tb := NewTCP(a), NewTCP(b)
+	l, _ := tb.Listen(20)
+	payload := make([]byte, 32*1024) // fits the receive window
+	free := func(st *TCPStack) map[*byte]bool {
+		set := map[*byte]bool{}
+		for _, arr := range st.arrays {
+			set[&arr[:1][0]] = true
+		}
+		return set
+	}
+	// transfer sends payload and closes. The server reads it all before
+	// closing, or with closeFirst closes first (the whole payload and the
+	// client's FIN have arrived by then) and reads the rest after the
+	// connection is torn down.
+	transfer := func(closeFirst bool) {
+		s.Spawn("server", func(p *sim.Proc) {
+			c, _ := l.Accept(p)
+			p.Sleep(2 * time.Second)
+			if closeFirst {
+				c.Close()
+				p.Sleep(time.Second)
+				if !c.Closed() || len(c.recvBuf) != len(payload) || c.recvMem == nil {
+					t.Errorf("closed conn holds %d of %d bytes (array kept: %v)",
+						len(c.recvBuf), len(payload), c.recvMem != nil)
+				}
+			}
+			buf := make([]byte, len(payload))
+			if n, err := c.ReadFull(p, buf); n != len(payload) {
+				t.Errorf("read %d of %d bytes: %v", n, len(payload), err)
+			}
+			c.Close()
+			p.Sleep(time.Second)
+			if !c.Closed() || c.recvMem != nil || c.sendMem != nil {
+				t.Error("a drained, closed connection kept its queue arrays")
+			}
+		})
+		s.Spawn("client", func(p *sim.Proc) {
+			c, _ := ta.Dial(p, ipB, 20)
+			c.Write(p, payload)
+			c.Close()
+		})
+		s.Run()
+	}
+	transfer(false)
+	firstA, firstB := free(ta), free(tb)
+	if len(firstA) == 0 || len(firstB) == 0 {
+		t.Fatalf("closed connections handed back %d and %d arrays, want some on each side", len(firstA), len(firstB))
+	}
+	transfer(true)
+	for st, first := range map[*TCPStack]map[*byte]bool{ta: firstA, tb: firstB} {
+		for arr := range free(st) {
+			if !first[arr] {
+				t.Errorf("%s: the second connection allocated a queue array", st.node.Name)
+			}
+		}
 	}
 }

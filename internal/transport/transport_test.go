@@ -168,8 +168,8 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 			t.Error("accept failed")
 			return
 		}
-		data, err := c.ReadFull(p, 5)
-		if err != nil {
+		data := make([]byte, 5)
+		if _, err := c.ReadFull(p, data); err != nil {
 			t.Errorf("server read: %v", err)
 			return
 		}
@@ -184,7 +184,9 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 			return
 		}
 		c.Write(p, []byte("hello"))
-		got, _ = c.ReadFull(p, 10)
+		got = make([]byte, 10)
+		n, _ := c.ReadFull(p, got)
+		got = got[:n]
 		c.Close()
 	})
 	s.Run()
@@ -222,7 +224,10 @@ func TestReadFullReturnsPartialOnClose(t *testing.T) {
 			t.Errorf("dial: %v", err)
 			return
 		}
-		got, readErr = c.ReadFull(p, 10)
+		got = make([]byte, 10)
+		var n int
+		n, readErr = c.ReadFull(p, got)
+		got = got[:n]
 		c.Close()
 	})
 	s.Run()
@@ -260,12 +265,13 @@ func TestTCPBulkTransferClean(t *testing.T) {
 	var done sim.Time
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
+		buf := make([]byte, 64*1024)
 		for {
-			chunk, err := c.Read(p, 64*1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				break
 			}
-			received = append(received, chunk...)
+			received = append(received, buf[:n]...)
 		}
 		done = p.Now()
 	})
@@ -304,12 +310,13 @@ func TestTCPBulkTransferLossy(t *testing.T) {
 	var received []byte
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
+		buf := make([]byte, 64*1024)
 		for {
-			chunk, err := c.Read(p, 64*1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				break
 			}
-			received = append(received, chunk...)
+			received = append(received, buf[:n]...)
 		}
 	})
 	var rtx int
@@ -345,11 +352,12 @@ func TestTCPConcurrentConnections(t *testing.T) {
 				return
 			}
 			s.Spawn("server-conn", func(p *sim.Proc) {
-				data, err := c.Read(p, 1024)
+				data := make([]byte, 1024)
+				n, err := c.Read(p, data)
 				if err != nil {
 					return
 				}
-				c.Write(p, data)
+				c.Write(p, data[:n])
 				c.Close()
 			})
 		}
@@ -365,7 +373,8 @@ func TestTCPConcurrentConnections(t *testing.T) {
 			}
 			msg := []byte{byte(i), byte(i + 1)}
 			c.Write(p, msg)
-			got, err := c.ReadFull(p, 2)
+			got := make([]byte, 2)
+			_, err = c.ReadFull(p, got)
 			if err == nil && bytes.Equal(got, msg) {
 				done++
 			}
@@ -387,13 +396,14 @@ func TestTCPCloseDeliversEOFAfterData(t *testing.T) {
 	var eof bool
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
+		buf := make([]byte, 1024)
 		for {
-			chunk, err := c.Read(p, 1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				eof = err == ErrClosed
 				break
 			}
-			got = append(got, chunk...)
+			got = append(got, buf[:n]...)
 		}
 	})
 	s.Spawn("client", func(p *sim.Proc) {
@@ -414,7 +424,7 @@ func TestTCPWriteAfterCloseFails(t *testing.T) {
 	l, _ := tb.Listen(20)
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
-		c.Read(p, 10)
+		c.Discard(p, 10)
 	})
 	var err error
 	s.Spawn("client", func(p *sim.Proc) {
@@ -436,7 +446,7 @@ func TestTCPRTTEstimation(t *testing.T) {
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
 		for {
-			if _, err := c.Read(p, 64*1024); err != nil {
+			if _, err := c.Discard(p, 64*1024); err != nil {
 				break
 			}
 		}
@@ -466,7 +476,7 @@ func TestTCPSlowStartGrowsCwnd(t *testing.T) {
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
 		for {
-			if _, err := c.Read(p, 64*1024); err != nil {
+			if _, err := c.Discard(p, 64*1024); err != nil {
 				break
 			}
 		}
@@ -519,12 +529,13 @@ func TestTCPReordering(t *testing.T) {
 	var received []byte
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
+		buf := make([]byte, 64*1024)
 		for {
-			chunk, err := c.Read(p, 64*1024)
+			n, err := c.Read(p, buf)
 			if err != nil {
 				break
 			}
-			received = append(received, chunk...)
+			received = append(received, buf[:n]...)
 		}
 	})
 	s.Spawn("client", func(p *sim.Proc) {
@@ -551,7 +562,7 @@ func TestTCPDeterministic(t *testing.T) {
 		s.Spawn("server", func(p *sim.Proc) {
 			c, _ := l.Accept(p)
 			for {
-				if _, err := c.Read(p, 64*1024); err != nil {
+				if _, err := c.Discard(p, 64*1024); err != nil {
 					break
 				}
 			}
@@ -605,7 +616,9 @@ func TestReleasedDatagramsReadZero(t *testing.T) {
 	var got []byte
 	s.Spawn("server", func(p *sim.Proc) {
 		c, _ := l.Accept(p)
-		got, _ = c.ReadFull(p, len(payload))
+		got = make([]byte, len(payload))
+		n, _ := c.ReadFull(p, got)
+		got = got[:n]
 		c.Close()
 	})
 	s.Spawn("client", func(p *sim.Proc) {

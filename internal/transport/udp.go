@@ -4,6 +4,17 @@
 // retransmit, and Jacobson/Karn retransmission timing (FTP's and HTTP's
 // transport). Both run over simnet nodes and carry real wire bytes, so the
 // modulation layer below sees authentic traffic.
+//
+// A TCP connection's send and receive queues are byte slices consumed
+// from the front inside backing arrays that each stack recycles: a queue
+// slides its bytes to the front of its array only while they fill at most
+// half of it and otherwise moves to an array twice their size, so every
+// byte is copied O(1) times, and a closed connection's arrays go back to
+// its stack (the receive array once the application has read it empty).
+// The arrays die with their stack, as datagram buffers die with their
+// scheduler. Conn.Read and Conn.ReadFull fill a buffer the caller owns,
+// and Conn.Discard consumes bytes without copying them; none of them
+// allocates.
 package transport
 
 import (
