@@ -98,8 +98,9 @@ func fatal(err error) {
 // parse reads `go test -bench` output: each benchmark line is the name
 // (with an optional -GOMAXPROCS suffix), an iteration count, then
 // value/unit pairs. A benchmark that appears several times (-count N)
-// keeps its best figures — best-of-N damps scheduler noise on shared
-// runners, while allocs/op and goroutine counts are deterministic anyway.
+// keeps its best figures (see merge) — best-of-N damps scheduler noise on
+// shared runners, while allocs/op and goroutine counts are deterministic
+// anyway.
 func parse(r io.Reader) (File, error) {
 	f := File{Benchmarks: map[string]Bench{}}
 	sc := bufio.NewScanner(r)
@@ -137,33 +138,21 @@ func parse(r io.Reader) (File, error) {
 	return f, sc.Err()
 }
 
-// merge keeps the minimum of every figure across repeated runs of one
-// benchmark (all guarded figures are lower-is-better).
+// merge combines repeated runs of one benchmark. ns/op, B/op and
+// allocs/op keep their minima (all are lower-is-better); the custom
+// metrics come from the run with the lowest ns/op, so a throughput figure
+// such as MB/s agrees with the ns/op stored beside it.
 func merge(a, b Bench) Bench {
-	out := Bench{
+	fastest := a
+	if b.NsPerOp < a.NsPerOp {
+		fastest = b
+	}
+	return Bench{
 		NsPerOp:     min(a.NsPerOp, b.NsPerOp),
 		BytesPerOp:  min(a.BytesPerOp, b.BytesPerOp),
 		AllocsPerOp: min(a.AllocsPerOp, b.AllocsPerOp),
+		Metrics:     fastest.Metrics,
 	}
-	if a.Metrics != nil || b.Metrics != nil {
-		out.Metrics = map[string]float64{}
-		for k, v := range a.Metrics {
-			out.Metrics[k] = v
-		}
-		for k, v := range b.Metrics {
-			if prev, ok := out.Metrics[k]; !ok || v < prev {
-				out.Metrics[k] = v
-			}
-		}
-	}
-	return out
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // stripProcSuffix removes the trailing -N GOMAXPROCS marker, if any.

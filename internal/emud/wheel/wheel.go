@@ -19,14 +19,13 @@
 //
 // A stopped owner's entries are released, not held until due: Stop counts
 // them dead on their shards, and a shard whose heap is more than half dead
-// (and holds more than 64 dead entries) is compacted in place, the rule
-// sim.Scheduler uses. A deleted session's engine, which its far-off
+// (and holds more than 64 dead entries) is compacted in place. A deleted
+// session's engine, which its far-off
 // advance timer would otherwise pin for up to a tuple length, becomes
 // garbage after a bounded number of further Stops on that shard.
 package wheel
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -286,8 +285,8 @@ func (w *Wheel) schedule(owner *Timers, d time.Duration, fn func()) {
 	s := w.shards[w.next.Add(1)%uint64(len(w.shards))]
 	s.mu.Lock()
 	s.seq++
-	earliest := s.h.Len() == 0 || at < s.h[0].at
-	heap.Push(&s.h, entry{at: at, seq: s.seq, fn: fn, owner: owner})
+	earliest := len(s.h) == 0 || at < s.h[0].at
+	s.h.push(entry{at: at, seq: s.seq, fn: fn, owner: owner})
 	if owner != nil {
 		owner.pend[s.idx]++
 	}
@@ -319,13 +318,13 @@ func (w *Wheel) run(s *shard) {
 		now := w.Now()
 		s.mu.Lock()
 		s.due = s.due[:0]
-		for s.h.Len() > 0 && s.h[0].at <= now {
-			e := heap.Pop(&s.h).(entry)
+		for len(s.h) > 0 && s.h[0].at <= now {
+			e := s.h.pop()
 			s.forget(e.owner)
 			s.due = append(s.due, e)
 		}
 		wait := time.Duration(-1)
-		if s.h.Len() > 0 {
+		if len(s.h) > 0 {
 			next := s.h[0].at
 			if w.gran > 0 {
 				// Coalesce: wake at the first tick boundary ≥ the deadline.
@@ -411,7 +410,7 @@ func (w *Wheel) compact(s *shard) {
 	removed := len(s.h) - len(live)
 	clear(s.h[len(live):])
 	s.h = live
-	heap.Init(&s.h)
+	s.h.init()
 	w.pending.Add(int64(-removed))
 	w.suppressed.Add(int64(removed))
 }
@@ -459,23 +458,67 @@ func invoke(fn func()) (v any) {
 	return nil
 }
 
-// entryHeap is a min-heap on (at, seq).
+// entryHeap is a binary min-heap on (at, seq). Its sifts are typed, so
+// entries move by value: container/heap's Push and Pop would box each
+// entry in an interface, two allocations per scheduled packet.
 type entryHeap []entry
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *entry) before(o *entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x any)   { *h = append(*h, x.(entry)) }
-func (h *entryHeap) Pop() any {
+
+func (h *entryHeap) push(e entry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest entry; the heap must not be empty.
+func (h *entryHeap) pop() entry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = entry{}
-	*h = old[:n-1]
+	n := len(old) - 1
+	e := old[0]
+	old[0] = old[n]
+	old[n] = entry{}
+	*h = old[:n]
+	h.down(0)
 	return e
+}
+
+// init restores the heap order of an arbitrary slice (Floyd's heapify).
+func (h entryHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h entryHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h entryHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

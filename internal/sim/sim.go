@@ -21,6 +21,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -47,18 +48,25 @@ func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // event is one scheduled callback. Events are pooled per scheduler: At
-// draws from the free list and the run loop recycles fired (or cancelled)
-// events back onto it, so steady-state scheduling allocates nothing.
+// draws from the free list, and an event goes back onto it when it fires
+// or its Timer is stopped, so steady-state scheduling allocates nothing.
 type event struct {
-	at        Time
-	seq       uint64 // schedule order; 0 means "recycled, not in the heap"
-	fn        func()
-	cancelled bool
+	fn  func()
+	seq uint64 // schedule order; 0 means "recycled, not in the heap"
+	idx int    // the event's slot in the heap while it is queued
 }
 
-// eventBefore is the heap order: time, then schedule order, so events with
+// slot is one heap entry: the event's (at, seq) key inline, so sifting
+// compares keys without following the event pointer.
+type slot struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+// before is the heap order: time, then schedule order, so events with
 // equal timestamps fire in the order they were scheduled.
-func eventBefore(a, b *event) bool {
+func (a slot) before(b slot) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -70,13 +78,14 @@ func eventBefore(a, b *event) bool {
 // single process it has currently resumed.
 type Scheduler struct {
 	now Time
-	// events is a 4-ary min-heap ordered by eventBefore. Quaternary beats
-	// binary here: sift-downs touch four children per cache line worth of
-	// pointers and the tree is half as deep, which is where the run loop
-	// spends its time once per-event allocation is gone.
-	events []*event
+	// events is a 4-ary min-heap of the queued events, ordered by
+	// slot.before, and nothing else: Timer.Stop takes its event out at
+	// once. Quaternary beats binary here: a sift-down compares four
+	// adjacent keys per level and the tree is half as deep, which is
+	// where the run loop spends its time once per-event allocation is
+	// gone.
+	events []slot
 	free   []*event // recycled events (the per-scheduler pool)
-	dead   int      // cancelled events still occupying heap slots
 	seq    uint64
 	seed   int64
 	rngs   map[string]*rand.Rand // memoized per-component streams
@@ -219,53 +228,43 @@ func (s *Scheduler) schedule(t Time, fn func()) *event {
 		e = new(event)
 	}
 	s.seq++
-	e.at, e.seq, e.fn, e.cancelled = t, s.seq, fn, false
-	s.heapPush(e)
+	e.seq, e.fn = s.seq, fn
+	s.events = append(s.events, slot{})
+	s.siftUp(len(s.events)-1, slot{at: t, seq: s.seq, e: e})
 	return e
 }
 
-// recycle returns a popped event to the pool. Zeroing seq disarms any Timer
-// still holding the event (a stale Stop compares seq and no-ops), and
-// dropping fn releases the closure.
+// recycle returns an event that left the heap to the pool. Zeroing seq
+// disarms any Timer still holding the event (a stale Stop compares seq
+// and no-ops), and dropping fn releases the closure.
 func (s *Scheduler) recycle(e *event) {
 	e.fn = nil
 	e.seq = 0
-	e.cancelled = false
 	s.free = append(s.free, e)
 }
 
-// heapPush inserts into the 4-ary heap.
-func (s *Scheduler) heapPush(e *event) {
-	s.events = append(s.events, e)
-	i := len(s.events) - 1
+// siftUp places x at slot i of the 4-ary heap, walking it toward the root
+// past any larger parents. Every slot it writes records its index in its
+// event.
+func (s *Scheduler) siftUp(i int, x slot) {
+	h := s.events
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventBefore(e, s.events[p]) {
+		if !x.before(h[p]) {
 			break
 		}
-		s.events[i] = s.events[p]
+		h[i] = h[p]
+		h[i].e.idx = i
 		i = p
 	}
-	s.events[i] = e
+	h[i] = x
+	x.e.idx = i
 }
 
-// heapPop removes and returns the earliest event.
-func (s *Scheduler) heapPop() *event {
-	h := s.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.events = h[:n]
-	if n > 0 {
-		s.siftDown(last, 0)
-	}
-	return top
-}
-
-// siftDown places e at slot i of the 4-ary heap, walking it toward the
-// leaves past any smaller children.
-func (s *Scheduler) siftDown(e *event, i int) {
+// siftDown places x at slot i of the 4-ary heap, walking it toward the
+// leaves past any smaller children. Every slot it writes records its
+// index in its event.
+func (s *Scheduler) siftDown(i int, x slot) {
 	h := s.events
 	n := len(h)
 	for {
@@ -280,43 +279,38 @@ func (s *Scheduler) siftDown(e *event, i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if eventBefore(h[c], h[min]) {
+			if h[c].before(h[min]) {
 				min = c
 			}
 		}
-		if !eventBefore(h[min], e) {
+		if !h[min].before(x) {
 			break
 		}
 		h[i] = h[min]
+		h[i].e.idx = i
 		i = min
 	}
-	h[i] = e
+	h[i] = x
+	x.e.idx = i
 }
 
-// compact rebuilds the heap without its cancelled events once they dominate,
-// bounding the memory a burst of Stop calls can pin.
-func (s *Scheduler) compact() {
-	live := s.events[:0]
-	for _, e := range s.events {
-		if e.cancelled {
-			s.recycle(e)
+// remove takes the slot at index i out of the heap and returns it: the
+// last slot fills the hole and sifts whichever way its key needs.
+func (s *Scheduler) remove(i int) slot {
+	h := s.events
+	x := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	s.events = h[:n]
+	if i < n {
+		if i > 0 && last.before(h[(i-1)/4]) {
+			s.siftUp(i, last)
 		} else {
-			live = append(live, e)
+			s.siftDown(i, last)
 		}
 	}
-	for i := len(live); i < len(s.events); i++ {
-		s.events[i] = nil
-	}
-	s.events = live
-	s.dead = 0
-	// Floyd heapify: sift down every internal node. The n > 1 guard matters:
-	// for n == 0, (n-2)/4 truncates to 0 in Go and the loop would index an
-	// empty slice.
-	if n := len(live); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			s.siftDown(live[i], i)
-		}
-	}
+	return x
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past runs the
@@ -347,28 +341,25 @@ func (s *Scheduler) AfterTimer(d time.Duration, fn func()) Timer {
 	return s.AtTimer(s.now.Add(d), fn)
 }
 
-// Stop cancels the timer and reports whether it was still pending.
-// Cancellation is lazy: the event keeps its heap slot (its closure is
-// released immediately) and is recycled when it surfaces, or earlier by
-// compaction when cancelled events outnumber live ones. Stopping an
-// already-fired or already-stopped timer is a no-op.
+// Stop cancels the timer and reports whether it was still pending. The
+// event leaves the heap at once, found by the slot index it keeps, and
+// goes back to the pool with its closure released, so the heap holds
+// only live events however many timers are re-armed. Stopping an
+// already-fired or already-stopped timer is a no-op: its event was
+// recycled, and the handle's schedule number no longer matches.
 func (t Timer) Stop() bool {
 	e := t.e
-	if e == nil || e.seq != t.seq || e.cancelled {
+	if e == nil || e.seq != t.seq {
 		return false
 	}
-	e.cancelled = true
-	e.fn = nil
-	t.s.dead++
-	if t.s.dead > 64 && t.s.dead > len(t.s.events)/2 {
-		t.s.compact()
-	}
+	t.s.remove(e.idx)
+	t.s.recycle(e)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.e != nil && t.e.seq == t.seq && !t.e.cancelled
+	return t.e != nil && t.e.seq == t.seq
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -379,7 +370,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // the final virtual time. Run panics if any process is still blocked when
 // the event queue drains: that indicates a deadlock in the simulated system.
 func (s *Scheduler) Run() Time {
-	return s.run(func() bool { return false }, true)
+	return s.run(math.MaxInt64, true)
 }
 
 // RunUntil executes events until virtual time would exceed t, the queue
@@ -388,40 +379,23 @@ func (s *Scheduler) Run() Time {
 // runs routinely leave daemons parked (e.g. a looping modulation daemon
 // blocked on a full buffer).
 func (s *Scheduler) RunUntil(t Time) Time {
-	return s.run(func() bool {
-		e := s.peekLive()
-		return e != nil && e.at > t
-	}, false)
+	return s.run(t, false)
 }
 
 // RunFor executes events for d of virtual time from now.
 func (s *Scheduler) RunFor(d time.Duration) Time { return s.RunUntil(s.now.Add(d)) }
 
-// peekLive returns the earliest live event, discarding cancelled ones that
-// have surfaced at the top of the heap.
-func (s *Scheduler) peekLive() *event {
-	for len(s.events) > 0 {
-		e := s.events[0]
-		if !e.cancelled {
-			return e
-		}
-		s.heapPop()
-		s.dead--
-		s.recycle(e)
-	}
-	return nil
-}
-
-func (s *Scheduler) run(done func() bool, checkDeadlock bool) Time {
+// run fires events in (at, seq) order until the next one is due after
+// limit, the queue drains, or Stop is called. Each event is recycled
+// before its callback runs, so whatever the callback schedules can reuse
+// it.
+func (s *Scheduler) run(limit Time, checkDeadlock bool) Time {
 	s.stopped = false
-	for !s.stopped {
-		if s.peekLive() == nil || done() {
-			break
-		}
-		e := s.heapPop()
-		s.now = e.at
-		fn := e.fn
-		s.recycle(e)
+	for !s.stopped && len(s.events) > 0 && s.events[0].at <= limit {
+		top := s.remove(0)
+		s.now = top.at
+		fn := top.e.fn
+		s.recycle(top.e)
 		fn()
 	}
 	if checkDeadlock && !s.stopped && s.Idle() && len(s.live) > 0 {
@@ -430,11 +404,11 @@ func (s *Scheduler) run(done func() bool, checkDeadlock bool) Time {
 	return s.now
 }
 
-// Idle reports whether no live events remain.
-func (s *Scheduler) Idle() bool { return len(s.events)-s.dead == 0 }
+// Idle reports whether no events remain queued.
+func (s *Scheduler) Idle() bool { return len(s.events) == 0 }
 
-// Pending returns the number of queued live events.
-func (s *Scheduler) Pending() int { return len(s.events) - s.dead }
+// Pending returns the number of queued events.
+func (s *Scheduler) Pending() int { return len(s.events) }
 
 // Procs returns the number of live processes.
 func (s *Scheduler) Procs() int { return len(s.live) }
@@ -559,7 +533,10 @@ func (s *Scheduler) Close() {
 			p.exit() // its start event never ran: there is no coroutine
 		}
 	}
-	s.events, s.free, s.dead = nil, nil, 0
+	for _, x := range s.events {
+		x.e.seq = 0 // a Timer held past Close stays inert
+	}
+	s.events, s.free = nil, nil
 	s.smallBufs, s.mtuBufs, s.pinned = nil, nil, nil
 }
 

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -493,6 +496,175 @@ func TestHeapOrderingProperty(t *testing.T) {
 		if a.at > b.at || (a.at == b.at && a.seq > b.seq) {
 			t.Fatalf("out of order at %d: %+v then %+v", i, a, b)
 		}
+	}
+}
+
+// TestEagerCancellationProperty drives the scheduler with a seeded mix
+// of At, AtTimer, Stop and RunUntil against a reference model that keeps
+// every event in a list and fires the earliest live one by (at, seq).
+// Stops hit live timers, fired and stopped ones, plain At events (which
+// have no handle), and stale handles whose event has been recycled into
+// a newer one; some callbacks stop an earlier timer or schedule a new
+// one, at the current instant included, so a callback reuses the event
+// it was recycled from. The scheduler must fire the same events in the
+// same order, report the same Stop results, and after every step hold
+// exactly the model's live events, each slot's event recording its own
+// index and key.
+func TestEagerCancellationProperty(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		checkEagerCancellation(t, seed, 3000)
+	}
+}
+
+// churnAction is what an event's callback does besides recording that it
+// fired: stop the timer with that id (if stop >= 0), then schedule a new
+// timer spawn ahead (if spawn >= 0).
+type churnAction struct {
+	stop  int
+	spawn Time
+}
+
+// refEvent is one event of the reference model.
+type refEvent struct {
+	at          Time
+	live, timer bool
+	act         churnAction
+}
+
+func checkEagerCancellation(t *testing.T, seed int64, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	none := churnAction{stop: -1, spawn: -1}
+
+	// The scheduler under test. An event's id is its schedule order.
+	s := New(seed)
+	var handles []Timer
+	var got []int
+	var gotStops []bool
+	var arm func(at Time, act churnAction, timer bool)
+	arm = func(at Time, act churnAction, timer bool) {
+		id := len(handles)
+		handles = append(handles, Timer{})
+		fn := func() {
+			got = append(got, id)
+			if act.stop >= 0 {
+				gotStops = append(gotStops, handles[act.stop].Stop())
+			}
+			if act.spawn >= 0 {
+				arm(s.Now()+act.spawn, none, true)
+			}
+		}
+		if timer {
+			handles[id] = s.AtTimer(at, fn)
+		} else {
+			s.At(at, fn)
+		}
+	}
+
+	// The reference model.
+	var model []refEvent
+	var now Time
+	var want []int
+	var wantStops []bool
+	modelArm := func(at Time, act churnAction, timer bool) {
+		model = append(model, refEvent{at: max(at, now), live: true, timer: timer, act: act})
+	}
+	modelStop := func(id int) bool {
+		e := &model[id]
+		if !e.timer || !e.live {
+			return false
+		}
+		e.live = false
+		return true
+	}
+	modelRun := func(limit Time) {
+		for {
+			next := -1
+			for i := range model {
+				if e := &model[i]; e.live && e.at <= limit && (next < 0 || e.at < model[next].at) {
+					next = i
+				}
+			}
+			if next < 0 {
+				return
+			}
+			e := &model[next]
+			e.live, now = false, e.at
+			want = append(want, next)
+			if e.act.stop >= 0 {
+				wantStops = append(wantStops, modelStop(e.act.stop))
+			}
+			if e.act.spawn >= 0 {
+				modelArm(now+e.act.spawn, none, true)
+			}
+		}
+	}
+
+	check := func(step int, what string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d step %d (%s): fired %v, want %v", seed, step, what, got, want)
+		}
+		if !slices.Equal(gotStops, wantStops) {
+			t.Fatalf("seed %d step %d (%s): callback Stops %v, want %v", seed, step, what, gotStops, wantStops)
+		}
+		live := 0
+		for _, e := range model {
+			if e.live {
+				live++
+			}
+		}
+		if s.Pending() != live || len(s.events) != s.Pending() {
+			t.Fatalf("seed %d step %d (%s): Pending %d, heap slots %d, model live %d",
+				seed, step, what, s.Pending(), len(s.events), live)
+		}
+		for i, x := range s.events {
+			if x.e.idx != i || x.e.seq != x.seq {
+				t.Fatalf("seed %d step %d (%s): slot %d holds an event recording idx %d seq %d, slot seq %d",
+					seed, step, what, i, x.e.idx, x.e.seq, x.seq)
+			}
+			if i > 0 && x.before(s.events[(i-1)/4]) {
+				t.Fatalf("seed %d step %d (%s): slot %d sorts before its parent", seed, step, what, i)
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(100); {
+		case r < 50: // At or AtTimer, a tenth of them in the past
+			at := s.Now() + Time(rng.Intn(1100)) - 100
+			act := none
+			if id := len(handles); id > 0 && rng.Intn(4) == 0 {
+				act.stop = rng.Intn(id)
+			}
+			if rng.Intn(4) == 0 {
+				act.spawn = Time(rng.Intn(200))
+			}
+			timer := r < 35
+			arm(at, act, timer)
+			modelArm(at, act, timer)
+			check(step, "schedule")
+		case r < 80: // Stop any handle ever issued
+			if len(handles) == 0 {
+				continue
+			}
+			id := rng.Intn(len(handles))
+			if g, w := handles[id].Stop(), modelStop(id); g != w {
+				t.Fatalf("seed %d step %d: Stop(%d) = %v, want %v", seed, step, id, g, w)
+			}
+			check(step, "stop")
+		default:
+			limit := s.Now() + Time(rng.Intn(300))
+			s.RunUntil(limit)
+			modelRun(limit)
+			check(step, "run")
+		}
+	}
+	s.Run()
+	modelRun(math.MaxInt64)
+	check(steps, "drain")
+	if s.Pending() != 0 {
+		t.Fatalf("seed %d: %d events left after Run", seed, s.Pending())
 	}
 }
 

@@ -32,6 +32,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -153,7 +154,7 @@ type Medium struct {
 	provider QualityProvider
 	rng      *rand.Rand
 	nics     []*NIC
-	hwSeq    uint16   // per-medium HW address allocator; addresses only resolve within a medium
+	hwSeq    uint16   // NICs attached so far; addresses only resolve within a medium (see nicAt)
 	queue    []*frame // FIFO from head
 	head     int
 	free     []*frame
@@ -255,22 +256,32 @@ func (f *frame) sent() {
 func (f *frame) deliver() {
 	m, src, dst, ip := f.m, f.src, f.dst, f.ip
 	m.release(f)
-	broadcast := dst == broadcastHW
-	if broadcast {
+	if dst == broadcastHW {
 		m.s.PinBuf(ip)
-	}
-	for _, n := range m.nics {
-		if n == src {
-			continue
-		}
-		if broadcast || n.HW == dst {
-			n.receive(ip, broadcast)
-			if !broadcast {
-				return
+		for _, n := range m.nics {
+			if n != src {
+				n.receive(ip, true)
 			}
 		}
+		return
 	}
-	m.s.ReleaseBuf(ip) // no receiver (or a pinned broadcast: a no-op)
+	if n := m.nicAt(dst); n != nil && n != src {
+		n.receive(ip, false)
+		return
+	}
+	m.s.ReleaseBuf(ip) // no receiver
+}
+
+// nicAt returns the NIC on this medium whose hardware address is hw, or
+// nil. AttachNIC numbers a medium's NICs 1, 2, ... in attach order and
+// writes the number into the address's last two bytes, so the NIC is
+// found by index, not by a scan.
+func (m *Medium) nicAt(hw packet.HWAddr) *NIC {
+	i := int(hw[4])<<8 | int(hw[5]) - 1
+	if i < 0 || i >= len(m.nics) || m.nics[i].HW != hw {
+		return nil
+	}
+	return m.nics[i]
 }
 
 // NIC is a node's attachment to a medium.
@@ -377,14 +388,14 @@ type Node struct {
 	// out and in are the hook chains composed once per Add*Hook, ending
 	// at transmit and dispatch respectively.
 	out, in  func(ip []byte)
-	handlers map[uint8]Handler
+	handlers [256]Handler // by IP protocol number; nil drops the datagram
 	ipID     uint16
 	stats    NodeStats
 }
 
 // NewNode creates a node on scheduler s.
 func NewNode(s *sim.Scheduler, name string) *Node {
-	n := &Node{Name: name, s: s, handlers: map[uint8]Handler{}}
+	n := &Node{Name: name, s: s}
 	n.handlers[packet.ProtoICMP] = icmpEchoResponder
 	n.out, n.in = n.transmit, n.dispatch
 	return n
@@ -399,6 +410,9 @@ func (n *Node) Stats() NodeStats { return n.stats }
 // AttachNIC connects the node to a medium with the given address and mask,
 // adds a directly-connected route for the subnet, and returns the NIC.
 func (n *Node) AttachNIC(m *Medium, ip, mask packet.IPAddr) *NIC {
+	if m.hwSeq == math.MaxUint16 {
+		panic(fmt.Sprintf("simnet: medium %s has no hardware address left", m.name))
+	}
 	m.hwSeq++
 	nic := &NIC{
 		node: n, medium: m, IP: ip, Mask: mask,
@@ -584,7 +598,7 @@ func (n *Node) dispatch(ip []byte) {
 		return
 	}
 	n.stats.Received++
-	if h, ok := n.handlers[w.Protocol()]; ok {
+	if h := n.handlers[w.Protocol()]; h != nil {
 		h(n, w)
 	} else {
 		n.s.ReleaseBuf(ip)
