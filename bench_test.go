@@ -638,6 +638,35 @@ func BenchmarkCollection(b *testing.B) {
 	}
 }
 
+// BenchmarkChatterboxCell measures one Figure 7 cell where the most
+// traffic runs beside the benchmark: per iteration, a Chatterbox
+// collection, then the live and the modulated 1 MB FTP send of trial 0.
+// A run ends when its benchmark returns, so allocs/op counts the cell's
+// work and grows if the runs outlive their result (the five interferers
+// and the looping modulation daemon would keep allocating).
+func BenchmarkChatterboxCell(b *testing.B) {
+	o := expt.Default()
+	o.FTPSize = 1 << 20
+	comp, err := expt.MeasureCompensation(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := expt.Collect(scenario.Chatterbox, 0, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := expt.RunLive(scenario.Chatterbox, expt.BenchFTPSend, 0, o); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := expt.RunModulated(res.Replay, expt.BenchFTPSend, 0, comp, o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEmudSessionFarm is the daemon load benchmark: ≥1000 concurrent
 // sessions on one shared timer wheel, each holding packets in flight, per
 // iteration. The reported metrics make the scaling claim checkable —

@@ -35,6 +35,7 @@ func main() {
 	trace := replay.Impulse(good, bad, 0.005, 0.02, 40*time.Second, 30*time.Second, time.Hour, time.Second)
 
 	s := sim.New(11)
+	defer s.Close()
 	m := simnet.NewMedium(s, "lan", simnet.Ethernet10())
 	cn := simnet.NewNode(s, "client")
 	cn.AttachNIC(m, packet.IP4(10, 7, 0, 1), packet.IP4(255, 255, 255, 0))
@@ -56,6 +57,7 @@ func main() {
 	var samples []adaptive.Sample
 	s.Spawn("fetcher", func(p *sim.Proc) {
 		samples = client.Run(p, 2*time.Minute)
+		s.Stop() // the run ends with the fetcher; Close unwinds the server
 	})
 	s.RunUntil(sim.Time(time.Hour))
 

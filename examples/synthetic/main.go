@@ -22,9 +22,11 @@ import (
 
 // transferUnder runs a 4 MB FTP send on an isolated Ethernet modulated by
 // the trace, reporting progress at quarter marks so the step/impulse is
-// visible in the timings.
+// visible in the timings. The run ends when the transfer process returns;
+// Close then unwinds the server and the looping modulation daemon.
 func transferUnder(name string, trace core.Trace) {
 	s := sim.New(7)
+	defer s.Close()
 	tb := scenario.BuildEthernet(s)
 	dev := modulation.StartDaemon(s, trace, true)
 	eng := modulation.NewEngine(modulation.SimClock{S: s}, dev, modulation.Config{
@@ -40,6 +42,7 @@ func transferUnder(name string, trace core.Trace) {
 	const size = 4 << 20
 	marks := make([]time.Duration, 0, 4)
 	s.Spawn("bench", func(p *sim.Proc) {
+		defer s.Stop()
 		c, err := ct.Dial(p, scenario.ModServer, ftp.Port)
 		if err != nil {
 			log.Fatalf("dial: %v", err)

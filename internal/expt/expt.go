@@ -3,6 +3,14 @@
 // wireless scenarios, trace collection and distillation, delay-compensation
 // measurement, and modulated benchmark runs over the isolated Ethernet —
 // and regenerates every table and figure in the evaluation (Figures 1-8).
+//
+// A benchmark run ends in the event where its benchmark process returns,
+// as the paper times a trial from the benchmark's start to its completion.
+// Only that process writes the trial's Result, so nothing the simulated
+// world would do afterwards could change it; the run's scheduler is closed
+// instead, unwinding interferers, servers and the modulation daemon
+// wherever they stand. A panic a process would raise only after that
+// instant is therefore no longer reached.
 package expt
 
 import (
@@ -41,7 +49,8 @@ type Options struct {
 	FTPSize int
 	// WebProcMean is the browser's per-object processing time.
 	WebProcMean time.Duration
-	// RunCap bounds each benchmark run in virtual time.
+	// RunCap bounds each benchmark run in virtual time. A run ends when
+	// its benchmark returns; one still running at RunCap fails.
 	RunCap time.Duration
 	// Workers caps how many experiment cells run concurrently; 0 means
 	// runtime.NumCPU(), 1 runs serially. Every cell owns a private
@@ -106,51 +115,67 @@ type Result struct {
 	Phases *nfs.PhaseTimes
 }
 
-// runBench wires the chosen benchmark between laptop and server and runs
-// it to completion. workSeed drives the benchmark's own CPU/processing
-// jitter so real and modulated trials of the same index share a workload.
-func runBench(s *sim.Scheduler, laptop, server *scenarioNode, b Bench, workSeed int64, o Options) (Result, error) {
+// runBench wires the chosen benchmark between the testbed's laptop and its
+// server, reached at serverIP, and runs it to completion. workSeed drives
+// the benchmark's own CPU/processing jitter so real and modulated trials of
+// the same index share a workload.
+//
+// The benchmark process stops the scheduler once it has written res and
+// benchErr, so the run ends in that event (see the package doc) and the
+// caller's Scheduler.Close unwinds whatever is left. RunCap only bounds a
+// benchmark that does not finish.
+func runBench(tb *scenario.Testbed, serverIP packet.IPAddr, b Bench, workSeed int64, o Options) (Result, error) {
+	s := tb.Sched
 	var res Result
 	var benchErr error
 	wrng := rand.New(rand.NewSource(workSeed))
 
+	var name string
+	var body func(p *sim.Proc)
 	switch b {
 	case BenchWeb:
-		ct, st := transport.NewTCP(laptop.node), transport.NewTCP(server.node)
+		ct, st := transport.NewTCP(tb.Laptop), transport.NewTCP(tb.Server)
 		web.Serve(s, st)
 		traces := WebTraces()
-		s.Spawn("web-bench", func(p *sim.Proc) {
-			res.Elapsed, benchErr = web.Run(p, ct, server.addr, traces, web.Config{
+		name = "web-bench"
+		body = func(p *sim.Proc) {
+			res.Elapsed, benchErr = web.Run(p, ct, serverIP, traces, web.Config{
 				ProcMean: o.WebProcMean, RNG: wrng,
 			})
-		})
+		}
 	case BenchFTPSend, BenchFTPRecv:
-		ct, st := transport.NewTCP(laptop.node), transport.NewTCP(server.node)
+		ct, st := transport.NewTCP(tb.Laptop), transport.NewTCP(tb.Server)
 		ftp.Serve(s, st)
 		dir := ftp.Send
 		if b == BenchFTPRecv {
 			dir = ftp.Recv
 		}
-		s.Spawn("ftp-bench", func(p *sim.Proc) {
-			res.Elapsed, benchErr = ftp.Transfer(p, ct, server.addr, dir, o.FTPSize, ftp.DefaultDiskRate)
-		})
+		name = "ftp-bench"
+		body = func(p *sim.Proc) {
+			res.Elapsed, benchErr = ftp.Transfer(p, ct, serverIP, dir, o.FTPSize, ftp.DefaultDiskRate)
+		}
 	case BenchAndrew:
-		cu, su := transport.NewUDP(laptop.node), transport.NewUDP(server.node)
+		cu, su := transport.NewUDP(tb.Laptop), transport.NewUDP(tb.Server)
 		if _, err := nfs.NewServer(s, su); err != nil {
 			return res, err
 		}
-		client, err := nfs.NewClient(s, cu, server.addr)
+		client, err := nfs.NewClient(s, cu, serverIP)
 		if err != nil {
 			return res, err
 		}
 		tree := AndrewTree()
-		s.Spawn("andrew-bench", func(p *sim.Proc) {
+		name = "andrew-bench"
+		body = func(p *sim.Proc) {
 			var pt nfs.PhaseTimes
 			pt, benchErr = nfs.RunAndrew(p, client, tree, nfs.AndrewConfig{CPUScale: 1, RNG: wrng})
 			res.Phases = &pt
 			res.Elapsed = pt.Total
-		})
+		}
 	}
+	s.Spawn(name, func(p *sim.Proc) {
+		body(p)
+		s.Stop()
+	})
 
 	s.RunUntil(s.Now().Add(o.RunCap))
 	if benchErr != nil {
@@ -162,21 +187,11 @@ func runBench(s *sim.Scheduler, laptop, server *scenarioNode, b Bench, workSeed 
 	return res, nil
 }
 
-// scenarioNode pairs a node with the address peers use to reach it.
-type scenarioNode struct {
-	node *simnet.Node
-	addr packet.IPAddr
-}
-
 // RunLive executes one benchmark trial over the live wireless scenario.
 func RunLive(sc scenario.Scenario, b Bench, trial int, o Options) (Result, error) {
 	s := sim.New(o.BaseSeed + int64(trial)*101)
 	defer s.Close()
-	tb := scenario.BuildWireless(s, sc)
-	return runBench(s,
-		&scenarioNode{tb.Laptop, scenario.LaptopIP},
-		&scenarioNode{tb.Server, scenario.ServerIP},
-		b, workloadSeed(o, trial), o)
+	return runBench(scenario.BuildWireless(s, sc), scenario.ServerIP, b, workloadSeed(o, trial), o)
 }
 
 // RunEthernetReference executes one benchmark trial over the bare isolated
@@ -184,11 +199,7 @@ func RunLive(sc scenario.Scenario, b Bench, trial int, o Options) (Result, error
 func RunEthernetReference(b Bench, trial int, o Options) (Result, error) {
 	s := sim.New(o.BaseSeed + int64(trial)*103)
 	defer s.Close()
-	tb := scenario.BuildEthernet(s)
-	return runBench(s,
-		&scenarioNode{tb.Laptop, scenario.ModLaptop},
-		&scenarioNode{tb.Server, scenario.ModServer},
-		b, workloadSeed(o, trial), o)
+	return runBench(scenario.BuildEthernet(s), scenario.ModServer, b, workloadSeed(o, trial), o)
 }
 
 // workloadSeed keeps the benchmark-internal randomness identical across
@@ -275,7 +286,6 @@ func runModulated(trace core.Trace, b Bench, trial int, comp core.PerByte, o Opt
 	s := sim.New(o.BaseSeed + int64(trial)*109 + 29)
 	defer s.Close()
 	tb := scenario.BuildEthernet(s)
-	dev := modulation.StartDaemon(s, trace, true)
 	var spans *span.Tracer
 	if sink != nil {
 		spans = span.New(span.Config{
@@ -287,17 +297,25 @@ func runModulated(trace core.Trace, b Bench, trial int, comp core.PerByte, o Opt
 			Seed: uint64(o.BaseSeed)*2654435761 + uint64(trial) + 1,
 		})
 	}
+	eng := modulate(tb, trace, comp, o, "modulation", spans)
+	r, err := runBench(tb, scenario.ModServer, b, workloadSeed(o, trial), o)
+	return r, eng, err
+}
+
+// modulate starts the modulation daemon looping over trace and installs
+// its engine on the Ethernet testbed's laptop. The engine charges the
+// physical inbound cost that comp cancels and draws from the scheduler
+// stream named rng.
+func modulate(tb *scenario.Testbed, trace core.Trace, comp core.PerByte, o Options, rng string, spans *span.Tracer) *modulation.Engine {
+	s := tb.Sched
+	dev := modulation.StartDaemon(s, trace, true)
 	eng := modulation.NewEngine(modulation.SimClock{S: s}, dev, modulation.Config{
 		Tick:         o.Tick,
 		InboundExtra: PhysicalInboundExtra(),
 		Compensation: comp,
-		RNG:          s.RNG("modulation"),
+		RNG:          s.RNG(rng),
 		Spans:        spans,
 	})
 	modulation.Install(tb.Laptop, eng)
-	r, err := runBench(s,
-		&scenarioNode{tb.Laptop, scenario.ModLaptop},
-		&scenarioNode{tb.Server, scenario.ModServer},
-		b, workloadSeed(o, trial), o)
-	return r, eng, err
+	return eng
 }

@@ -3,11 +3,14 @@ package expt
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"tracemod/internal/apps/ftp"
+	"tracemod/internal/packet"
 	"tracemod/internal/scenario"
+	"tracemod/internal/sim"
 )
 
 // fastOptions keeps experiment tests quick: two trials and a smaller FTP
@@ -372,46 +375,135 @@ func TestRunnersReclaimSimProcesses(t *testing.T) {
 	o.Trials = 1
 	o.FTPSize = 256 << 10
 	base := runtime.NumGoroutine()
-	check := func(name string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: %d goroutines after the run, %d before", name, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	comp, err := MeasureCompensation(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("MeasureCompensation")
+	waitGoroutines(t, base, "MeasureCompensation")
 	_, res, err := CollectFull(scenario.Wean, 0, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("CollectFull")
+	waitGoroutines(t, base, "CollectFull")
 	for _, b := range []Bench{BenchWeb, BenchFTPRecv, BenchAndrew} {
 		if _, err := RunLive(scenario.Wean, b, 0, o); err != nil {
 			t.Fatal(err)
 		}
-		check("RunLive " + b.String())
+		waitGoroutines(t, base, "RunLive "+b.String())
 		if _, err := RunEthernetReference(b, 0, o); err != nil {
 			t.Fatal(err)
 		}
-		check("RunEthernetReference " + b.String())
+		waitGoroutines(t, base, "RunEthernetReference "+b.String())
 		if _, err := RunModulated(res.Replay, b, 0, comp, o); err != nil {
 			t.Fatal(err)
 		}
-		check("RunModulated " + b.String())
+		waitGoroutines(t, base, "RunModulated "+b.String())
 	}
 	if _, err := fig1Transfer(res.Replay, ftp.Recv, 64<<10, comp, o); err != nil {
 		t.Fatal(err)
 	}
-	check("fig1Transfer")
+	waitGoroutines(t, base, "fig1Transfer")
 	if _, err := collectSkewed(o, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	check("collectSkewed")
+	waitGoroutines(t, base, "collectSkewed")
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base within five seconds of a run named name.
+func waitGoroutines(t *testing.T, base int, name string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after the run, %d before", name, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBenchRunEndsAtResult checks that a benchmark run ends in the event
+// where its benchmark process returns. Each benchmark times itself from
+// its process's start to its return, so the scheduler's final virtual time
+// must be the run's start plus Elapsed. Without the stop, the live
+// Chatterbox run would go on to its profile's end (its interferers keep
+// the queue busy) and the modulated run to RunCap (the modulation daemon
+// loops). A RunCap shorter than the benchmark must still be reported.
+func TestBenchRunEndsAtResult(t *testing.T) {
+	o := fastOptions()
+	o.FTPSize = 256 << 10
+	col, err := Collect(scenario.Chatterbox, 0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name  string
+		bench Bench
+		world func(s *sim.Scheduler) (*scenario.Testbed, packet.IPAddr)
+	}{
+		{"live chatterbox ftp-send", BenchFTPSend, func(s *sim.Scheduler) (*scenario.Testbed, packet.IPAddr) {
+			return scenario.BuildWireless(s, scenario.Chatterbox), scenario.ServerIP
+		}},
+		{"modulated andrew", BenchAndrew, func(s *sim.Scheduler) (*scenario.Testbed, packet.IPAddr) {
+			tb := scenario.BuildEthernet(s)
+			modulate(tb, col.Replay, 0, o, "modulation", nil)
+			return tb, scenario.ModServer
+		}},
+		{"ethernet web", BenchWeb, func(s *sim.Scheduler) (*scenario.Testbed, packet.IPAddr) {
+			return scenario.BuildEthernet(s), scenario.ModServer
+		}},
+	}
+	run := func(b Bench, world func(*sim.Scheduler) (*scenario.Testbed, packet.IPAddr), o Options) (start, end sim.Time, res Result, err error) {
+		s := sim.New(29)
+		defer s.Close()
+		tb, server := world(s)
+		start = s.Now()
+		res, err = runBench(tb, server, b, 1, o)
+		return start, s.Now(), res, err
+	}
+	for _, r := range runs {
+		start, end, res, err := run(r.bench, r.world, o)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if want := start.Add(res.Elapsed); end != want {
+			t.Errorf("%s: run ended at %v, benchmark returned at %v", r.name, end, want)
+		}
+	}
+
+	short := o
+	short.RunCap = time.Second
+	r := runs[0]
+	start, end, _, err := run(r.bench, r.world, short)
+	if err == nil || !strings.Contains(err.Error(), "did not finish within 1s") {
+		t.Fatalf("%s with a 1s RunCap: err = %v, want \"did not finish within 1s\"", r.name, err)
+	}
+	if end > start.Add(short.RunCap) {
+		t.Fatalf("%s with a 1s RunCap ran to %v", r.name, end)
+	}
+}
+
+// TestStoppedRunLeavesNoProcesses runs every Chatterbox benchmark live and
+// modulated and checks that no goroutine outlives the calls. Chatterbox is
+// where a run now stops mid-traffic: Close must unwind interferers blocked
+// in an RPC, write-behind biods (their deferred socket closes and buffer
+// releases run) and the looping modulation daemon.
+func TestStoppedRunLeavesNoProcesses(t *testing.T) {
+	o := fastOptions()
+	o.FTPSize = 256 << 10
+	col, err := Collect(scenario.Chatterbox, 0, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for _, b := range []Bench{BenchWeb, BenchFTPSend, BenchFTPRecv, BenchAndrew} {
+		if _, err := RunLive(scenario.Chatterbox, b, 0, o); err != nil {
+			t.Fatalf("live %v: %v", b, err)
+		}
+		waitGoroutines(t, base, "RunLive "+b.String())
+		if _, err := RunModulated(col.Replay, b, 0, 0, o); err != nil {
+			t.Fatalf("modulated %v: %v", b, err)
+		}
+		waitGoroutines(t, base, "RunModulated "+b.String())
+	}
 }

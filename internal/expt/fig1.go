@@ -13,7 +13,6 @@ import (
 
 	"tracemod/internal/apps/ftp"
 	"tracemod/internal/core"
-	"tracemod/internal/modulation"
 	"tracemod/internal/replay"
 	"tracemod/internal/scenario"
 	"tracemod/internal/sim"
@@ -44,20 +43,14 @@ func fig1Transfer(trace core.Trace, dir ftp.Direction, size int, comp core.PerBy
 	s := sim.New(o.BaseSeed + 3301)
 	defer s.Close()
 	tb := scenario.BuildEthernet(s)
-	dev := modulation.StartDaemon(s, trace, true)
-	eng := modulation.NewEngine(modulation.SimClock{S: s}, dev, modulation.Config{
-		Tick:         o.Tick,
-		InboundExtra: PhysicalInboundExtra(),
-		Compensation: comp,
-		RNG:          s.RNG("fig1"),
-	})
-	modulation.Install(tb.Laptop, eng)
+	modulate(tb, trace, comp, o, "fig1", nil)
 	ct, st := transport.NewTCP(tb.Laptop), transport.NewTCP(tb.Server)
 	ftp.Serve(s, st)
 	var elapsed time.Duration
 	var err error
 	s.Spawn("fig1", func(p *sim.Proc) {
 		elapsed, err = ftp.Transfer(p, ct, scenario.ModServer, dir, size, 0)
+		s.Stop() // the run ends with the transfer, as runBench's do
 	})
 	s.RunUntil(s.Now().Add(o.RunCap))
 	if err != nil {
