@@ -312,7 +312,6 @@ func engineHotPathBench(withObs bool) func(b *testing.B) {
 		cfg := modulation.Config{RNG: rand.New(rand.NewSource(1))}
 		if withObs {
 			cfg.Metrics = obs.NewRegistry()
-			cfg.Tracer = obs.NewRingTracer(0)
 		}
 		eng := modulation.NewEngine(modulation.SimClock{S: s}, &modulation.SliceSource{Trace: trace}, cfg)
 		deliver := func() {}
@@ -327,8 +326,8 @@ func engineHotPathBench(withObs bool) func(b *testing.B) {
 // telemetry off — the default every simulation and relay runs with.
 func BenchmarkEngineSubmitObsDisabled(b *testing.B) { engineHotPathBench(false)(b) }
 
-// BenchmarkEngineSubmitObsEnabled measures the same path with the full
-// metric set and event tracer attached, to keep the observation cost
+// BenchmarkEngineSubmitObsEnabled measures the same path with the
+// engine's full metric set registered, to keep the observation cost
 // visible.
 func BenchmarkEngineSubmitObsEnabled(b *testing.B) { engineHotPathBench(true)(b) }
 
@@ -725,7 +724,7 @@ func BenchmarkControlPlaneSessionCycle(b *testing.B) {
 	reg := obs.NewRegistry()
 	m := emud.NewManager(emud.Options{Metrics: reg, Granularity: 10 * time.Millisecond})
 	defer m.Close()
-	h := emud.NewAPI(m, reg, nil).Handler()
+	h := emud.NewAPI(m, reg).Handler()
 	body := []byte(`{"inline":[{"duration_sec":30,"latency_ms":20,"vb_ns_per_byte":800,"loss":0.01},` +
 		`{"duration_sec":30,"latency_ms":40,"vb_ns_per_byte":1600,"loss":0.02}],"seed":7}`)
 	do := func(method, target string, body []byte, key string, want int) []byte {

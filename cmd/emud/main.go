@@ -300,7 +300,7 @@ func main() {
 		}
 	}
 
-	srv, err := emud.NewAPI(m, reg, nil).Serve(*listen)
+	srv, err := emud.NewAPI(m, reg).Serve(*listen)
 	if err != nil {
 		log.Error("control listener failed", "err", err)
 		os.Exit(1)
@@ -425,8 +425,9 @@ func runCoordinator(log *slog.Logger, cfg coordinatorConfig) {
 	// on one listener; the coordinator's own /healthz wins the overlap.
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
-	mux.Handle("/metrics", obs.Mux(reg, nil))
-	mux.Handle("/debug/", obs.Mux(reg, nil))
+	debug := obs.Mux(reg)
+	mux.Handle("/metrics", debug)
+	mux.Handle("/debug/", debug)
 	hsrv := &http.Server{Addr: cfg.listen, Handler: mux}
 	go func() {
 		if err := hsrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

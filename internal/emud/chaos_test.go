@@ -84,7 +84,7 @@ func TestChaosFarmSurvivesAllFaults(t *testing.T) {
 		<-m.snapDone
 	}()
 
-	srv := httptest.NewServer(NewAPI(m, reg, obs.NewRingTracer(1024)).Handler())
+	srv := httptest.NewServer(NewAPI(m, reg).Handler())
 	defer srv.Close()
 
 	// Arm the full menu at 10%. Stall-type points get a small delay so the

@@ -33,7 +33,7 @@ func newTestWorker(t *testing.T, name string) *testWorker {
 		SessionIDPrefix: name + "-",
 	})
 	t.Cleanup(m.Close)
-	srv := httptest.NewServer(emud.NewAPI(m, reg, obs.NewRingTracer(128)).Handler())
+	srv := httptest.NewServer(emud.NewAPI(m, reg).Handler())
 	t.Cleanup(srv.Close)
 	return &testWorker{name: name, m: m, srv: srv}
 }

@@ -43,8 +43,7 @@ const (
 // API serves the control plane for one Manager.
 type API struct {
 	m   *Manager
-	reg *obs.Registry   // may be nil
-	tr  *obs.RingTracer // may be nil
+	reg *obs.Registry // may be nil
 
 	faultSlow, faultErr *faults.Point // control-plane chaos (nil when no injector)
 
@@ -55,10 +54,14 @@ type API struct {
 	idem *idem.Table[string]
 }
 
-// NewAPI builds the control plane. reg and tracer may be nil; when reg is
-// non-nil the obs debug surface is mounted alongside the session routes.
-func NewAPI(m *Manager, reg *obs.Registry, tracer *obs.RingTracer) *API {
-	a := &API{m: m, reg: reg, tr: tracer, idem: idem.New[string](nil)}
+// NewAPI builds the control plane. reg may be nil; when it is non-nil the
+// obs debug surface is mounted alongside the session routes.
+//
+// The trailing arguments are ignored. They are transitional: they keep
+// callers written against the former (m, reg, tracer) signature
+// compiling, and go once those callers pass two arguments.
+func NewAPI(m *Manager, reg *obs.Registry, _ ...any) *API {
+	a := &API{m: m, reg: reg, idem: idem.New[string](nil)}
 	if inj := m.opts.Faults; inj != nil {
 		a.faultSlow = inj.Point("control.slow")
 		a.faultErr = inj.Point("control.error")
@@ -94,8 +97,8 @@ func (a *API) Mux() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/faults", a.resetFaults)
 	if a.reg != nil {
 		// The obs debug surface on the same listener: /metrics, /healthz,
-		// /debug/events, /debug/pprof/...
-		for pattern, h := range muxRoutes(obs.Mux(a.reg, a.tr)) {
+		// /debug/pprof/...
+		for pattern, h := range muxRoutes(obs.Mux(a.reg)) {
 			mux.Handle(pattern, h)
 		}
 	} else {
@@ -296,7 +299,7 @@ func (a *API) resetFaults(w http.ResponseWriter, _ *http.Request) {
 func muxRoutes(h http.Handler) map[string]http.Handler {
 	routes := map[string]http.Handler{}
 	for _, p := range []string{
-		"/metrics", "/healthz", "/debug/events",
+		"/metrics", "/healthz",
 		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/profile",
 		"/debug/pprof/symbol", "/debug/pprof/trace",
 	} {
@@ -311,9 +314,10 @@ type SessionRequest struct {
 	Name string `json:"name,omitempty"`
 	// Exactly one trace source: a file path (replay or collected format,
 	// resolved through the trace store), a synthetic trace name
-	// ("wavelan" or "slow" plus DurationSec), inline tuples, or the name
-	// of a live-ingest stream (POST /v1/streams) — the session then
-	// modulates against the growing trace, waiting at the live edge.
+	// ("wavelan", "slow", "step" or "impulse", sized by DurationSec),
+	// inline tuples, or the name of a live-ingest stream (POST
+	// /v1/streams) — the session then modulates against the growing
+	// trace, waiting at the live edge.
 	TracePath string      `json:"trace_path,omitempty"`
 	Synthetic string      `json:"synthetic,omitempty"`
 	Inline    []TupleJSON `json:"inline,omitempty"`
@@ -544,16 +548,8 @@ func (a *API) resolveTrace(req *SessionRequest) (core.Trace, *LiveTrace, string,
 		if dur <= 0 {
 			dur = time.Hour
 		}
-		var tr core.Trace
-		switch req.Synthetic {
-		case "wavelan":
-			tr = replay.WaveLANLike(dur)
-		case "slow":
-			tr = replay.SlowNetLike(dur)
-		default:
-			return nil, nil, "", fmt.Errorf("unknown synthetic trace %q (want wavelan or slow)", req.Synthetic)
-		}
-		return tr, nil, "synthetic:" + req.Synthetic, nil
+		tr, err := replay.Synthetic(req.Synthetic, dur)
+		return tr, nil, "synthetic:" + req.Synthetic, err
 	default:
 		tr := make(core.Trace, 0, len(req.Inline))
 		for _, t := range req.Inline {

@@ -164,7 +164,7 @@ func TestAPIInlineRefContentHashed(t *testing.T) {
 
 func TestServeHasTimeouts(t *testing.T) {
 	m := newTestManager(t, Options{Granularity: time.Millisecond})
-	srv, err := NewAPI(m, nil, nil).Serve("127.0.0.1:0")
+	srv, err := NewAPI(m, nil).Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

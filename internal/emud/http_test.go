@@ -29,7 +29,7 @@ func newTestAPI(t *testing.T, o Options) (*httptest.Server, *Manager) {
 	}
 	m := NewManager(o)
 	t.Cleanup(m.Close)
-	srv := httptest.NewServer(NewAPI(m, reg, obs.NewRingTracer(128)).Handler())
+	srv := httptest.NewServer(NewAPI(m, reg).Handler())
 	t.Cleanup(srv.Close)
 	return srv, m
 }
@@ -142,8 +142,6 @@ func TestAPITraceFromFile(t *testing.T) {
 }
 
 func TestAPIRelayAttachAndTraffic(t *testing.T) {
-	srv, _ := newTestAPI(t, Options{})
-
 	// A tiny UDP echo server as the relay target.
 	target, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -160,43 +158,53 @@ func TestAPIRelayAttachAndTraffic(t *testing.T) {
 			_, _ = target.WriteToUDP(buf[:n], addr)
 		}
 	}()
+	relay := &RelaySpec{Listen: "127.0.0.1:0", Target: target.LocalAddr().String()}
 
-	var created SessionInfo
-	doJSON(t, "POST", srv.URL+"/v1/sessions", SessionRequest{
-		Synthetic:   "wavelan",
-		DurationSec: 60,
-		Relay: &RelaySpec{
-			Listen: "127.0.0.1:0",
-			Target: target.LocalAddr().String(),
-		},
-	}, http.StatusCreated, &created)
-	if created.RelayAddr == "" {
-		t.Fatal("no relay address reported")
-	}
+	for _, tc := range []struct {
+		name string
+		req  SessionRequest
+	}{
+		{"synthetic", SessionRequest{Synthetic: "wavelan", DurationSec: 60, Relay: relay}},
+		// The README's live-shaping recipe: a replay file, a tick, a
+		// drop seed and the per-byte corrections.
+		{"readme-recipe", SessionRequest{
+			TracePath: writeReplayFile(t, t.TempDir(), "recipe.replay"),
+			TickUS:    1000, Seed: 7, CompensationNS: 80, InboundExtraNS: 80, Relay: relay,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newTestAPI(t, Options{})
+			var created SessionInfo
+			doJSON(t, "POST", srv.URL+"/v1/sessions", tc.req, http.StatusCreated, &created)
+			if created.RelayAddr == "" {
+				t.Fatal("no relay address reported")
+			}
 
-	conn, err := net.Dial("udp", created.RelayAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("ping-through-emud")); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 2048)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:n]) != "ping-through-emud" {
-		t.Fatalf("echo = %q", buf[:n])
-	}
+			conn, err := net.Dial("udp", created.RelayAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("ping-through-emud")); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 2048)
+			n, err := conn.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(buf[:n]) != "ping-through-emud" {
+				t.Fatalf("echo = %q", buf[:n])
+			}
 
-	// The round trip is visible in the session stats.
-	var got SessionInfo
-	doJSON(t, "GET", srv.URL+"/v1/sessions/"+created.ID, nil, http.StatusOK, &got)
-	if got.Submitted < 2 || got.Delivered < 2 {
-		t.Fatalf("stats after echo = %+v", got)
+			// The round trip is visible in the session stats.
+			var got SessionInfo
+			doJSON(t, "GET", srv.URL+"/v1/sessions/"+created.ID, nil, http.StatusOK, &got)
+			if got.Submitted < 2 || got.Delivered < 2 {
+				t.Fatalf("stats after echo = %+v", got)
+			}
+		})
 	}
 }
 
@@ -287,7 +295,7 @@ func TestHandlerRequestAllocs(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewManager(Options{Metrics: reg, Granularity: time.Millisecond})
 	defer m.Close()
-	h := NewAPI(m, reg, obs.NewRingTracer(128)).Handler()
+	h := NewAPI(m, reg).Handler()
 	req := httptest.NewRequest(http.MethodGet, "/v1/health", nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		rec := httptest.NewRecorder()

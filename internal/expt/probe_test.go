@@ -2,15 +2,8 @@ package expt
 
 import (
 	"testing"
-	"time"
 
-	"tracemod/internal/apps/ftp"
-	"tracemod/internal/core"
-	"tracemod/internal/modulation"
-	"tracemod/internal/replay"
 	"tracemod/internal/scenario"
-	"tracemod/internal/sim"
-	"tracemod/internal/transport"
 )
 
 // TestProbePipeline is a development probe: it prints the magnitudes of
@@ -60,36 +53,4 @@ func TestProbePipeline(t *testing.T) {
 		}
 		t.Logf("modulated porter %v: %v", b, res.Elapsed)
 	}
-}
-
-// TestProbeFig1Asymmetry checks whether the endpoint delay-queue asymmetry
-// appears without compensation, using the synthetic WaveLAN-like trace.
-func TestProbeFig1Asymmetry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("probe only")
-	}
-	trace := replay.WaveLANLike(time.Hour)
-	run := func(dir ftp.Direction, comp float64) time.Duration {
-		s := sim.New(123)
-		tb := scenario.BuildEthernet(s)
-		dev := modulation.StartDaemon(s, trace, true)
-		eng := modulation.NewEngine(modulation.SimClock{S: s}, dev, modulation.Config{
-			Tick:         modulation.DefaultTick,
-			Compensation: core.PerByte(comp),
-			RNG:          s.RNG("m"),
-		})
-		modulation.Install(tb.Laptop, eng)
-		ct, st := transport.NewTCP(tb.Laptop), transport.NewTCP(tb.Server)
-		ftp.Serve(s, st)
-		var el time.Duration
-		s.Spawn("bench", func(p *sim.Proc) {
-			el, _ = ftp.Transfer(p, ct, scenario.ModServer, dir, 4<<20, 0)
-		})
-		s.RunUntil(sim.Time(time.Hour))
-		return el
-	}
-	store := run(ftp.Send, 0)
-	fetchRaw := run(ftp.Recv, 0)
-	fetchComp := run(ftp.Recv, 800) // ≈10 Mb/s physical Vb
-	t.Logf("store=%v fetch(raw)=%v fetch(comp)=%v", store, fetchRaw, fetchComp)
 }

@@ -12,51 +12,17 @@ package livewire
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"tracemod/internal/core"
-	"tracemod/internal/emud/wheel"
 	"tracemod/internal/faults"
 	"tracemod/internal/modulation"
-	"tracemod/internal/obs"
 	"tracemod/internal/packet"
 	"tracemod/internal/simnet"
 )
-
-// RealClock implements modulation.Clock over the wall clock. It delegates
-// to a single-shard timer wheel, so a standalone relay and the emud
-// session farm share one scheduling path; with Granularity 0 (the
-// NewRealClock default) the wheel sleeps until each exact deadline,
-// preserving the historical time.AfterFunc delivery semantics while
-// keeping the pending-timer population off the runtime timer heap.
-type RealClock struct {
-	w *wheel.Wheel
-}
-
-// NewRealClock starts a clock at the current instant with exact
-// (Granularity=0) scheduling.
-func NewRealClock() *RealClock { return NewRealClockGranular(0) }
-
-// NewRealClockGranular starts a clock whose wakeups coalesce onto
-// granularity boundaries (0 = exact).
-func NewRealClockGranular(granularity time.Duration) *RealClock {
-	return &RealClock{w: wheel.New(wheel.Options{Shards: 1, Granularity: granularity})}
-}
-
-// Now implements modulation.Clock.
-func (c *RealClock) Now() time.Duration { return c.w.Now() }
-
-// AfterFunc implements modulation.Clock.
-func (c *RealClock) AfterFunc(d time.Duration, fn func()) { c.w.AfterFunc(d, fn) }
-
-// Close stops the clock's scheduling goroutine, discarding pending
-// callbacks. A relay that owns its clock closes it on Close.
-func (c *RealClock) Close() { c.w.Close() }
 
 // Datagram buffers come in two size classes, each with its own pool
 // shared by every relay in the process (emud runs many). An in-flight
@@ -118,30 +84,6 @@ type Submitter interface {
 	SubmitBatch(subs []modulation.Submission)
 }
 
-// Config parameterizes a relay.
-type Config struct {
-	// Trace drives the shaping; it loops for the relay's lifetime.
-	Trace core.Trace
-	// Tick is the scheduling granularity (modulation.DefaultTick if 0).
-	Tick time.Duration
-	// InboundExtra charges target→client packets an additional per-byte
-	// cost (the physical receive path); see modulation.Config.
-	InboundExtra core.PerByte
-	// Compensation is subtracted from Vb for target→client traffic.
-	Compensation core.PerByte
-	// Seed drives the drop lottery (deterministic per relay).
-	Seed int64
-	// Obs, if non-nil, registers the relay's and the underlying engine's
-	// telemetry on the registry (tracemod_livewire_* and
-	// tracemod_modulation_*). Serve it with obs.StartDebugServer for live
-	// introspection of a running daemon.
-	Obs *obs.Registry
-	// Tracer, if non-nil, receives the engine's packet-lifecycle events.
-	Tracer obs.Tracer
-	// RelayOpts tunes the data plane.
-	RelayOpts
-}
-
 // RelayOpts tunes a relay's data plane.
 type RelayOpts struct {
 	// Group, if enabled, places the relay's sockets on the shared
@@ -189,7 +131,6 @@ func (s Stats) AvgBatch() float64 {
 // Relay is a live packet-shaping daemon.
 type Relay struct {
 	submit Submitter
-	clock  *RealClock // non-nil when the relay owns its clock (NewRelay)
 
 	clientSide *net.UDPConn // clients talk to this
 	targetSide *net.UDPConn // connected toward the target
@@ -248,72 +189,6 @@ func bindSockets(listenAddr, targetAddr string) (*net.UDPConn, *net.UDPConn, err
 		return nil, nil, err
 	}
 	return clientSide, targetSide, nil
-}
-
-// NewRelay binds listenAddr for clients and connects toward targetAddr,
-// shaping traffic through an engine of its own on a RealClock it closes
-// on Close. Use "127.0.0.1:0" as listenAddr to pick a free port; Addr
-// reports it.
-func NewRelay(listenAddr, targetAddr string, cfg Config) (*Relay, error) {
-	if len(cfg.Trace) == 0 {
-		return nil, errors.New("livewire: empty trace")
-	}
-	if err := cfg.Trace.Validate(); err != nil {
-		return nil, err
-	}
-	clock := NewRealClock()
-	eng := modulation.NewEngine(clock, &modulation.SliceSource{Trace: cfg.Trace, Loop: true}, modulation.Config{
-		Tick:         cfg.Tick,
-		InboundExtra: cfg.InboundExtra,
-		Compensation: cfg.Compensation,
-		RNG:          rand.New(rand.NewSource(cfg.Seed)),
-		Metrics:      cfg.Obs,
-		Tracer:       cfg.Tracer,
-	})
-	r, err := NewRelayWithSubmitterOpts(listenAddr, targetAddr, eng, cfg.RelayOpts)
-	if err != nil {
-		clock.Close()
-		return nil, err
-	}
-	r.clock = clock
-	if cfg.Obs != nil {
-		cfg.Obs.CounterFunc("tracemod_livewire_client_to_target_total",
-			"Packets relayed from the client toward the target.",
-			func() float64 { return float64(r.c2t.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_target_to_client_total",
-			"Packets relayed from the target back to the client.",
-			func() float64 { return float64(r.t2c.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_dropped_total",
-			"Relayed packets lost to the drop lottery.",
-			func() float64 { return float64(r.dropped.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_socket_errors_total",
-			"Socket errors observed by the relay pumps.",
-			func() float64 { return float64(r.socketErrs.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_reconnects_total",
-			"Pump retries that resumed reading after a socket error.",
-			func() float64 { return float64(r.reconnects.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_send_errors_total",
-			"Post-modulation datagram writes that failed at the socket.",
-			func() float64 { return float64(r.sendErrs.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_read_packets_total",
-			"Datagrams read by the relay's data plane (both directions).",
-			func() float64 { return float64(r.rxPkts.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_read_bytes_total",
-			"Payload bytes read by the relay's data plane.",
-			func() float64 { return float64(r.rxBytes.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_sent_bytes_total",
-			"Payload bytes written by the relay's data plane.",
-			func() float64 { return float64(r.txBytes.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_read_batches_total",
-			"Read batches drained by the relay's data plane.",
-			func() float64 { return float64(r.batches.Load()) })
-		cfg.Obs.CounterFunc("tracemod_livewire_batched_packets_total",
-			"Datagrams carried by the relay's read batches.",
-			func() float64 { return float64(r.batchedPkts.Load()) })
-		cfg.Obs.Gauge("tracemod_livewire_trace_tuples",
-			"Tuples in the replay trace driving the relay.").Set(int64(len(cfg.Trace)))
-	}
-	return r, nil
 }
 
 // NewRelayWithSubmitterOpts binds sockets and shapes traffic through a
@@ -376,7 +251,7 @@ func (r *Relay) Stats() Stats {
 	}
 }
 
-// Close shuts the relay down (and its clock, when the relay owns one).
+// Close shuts the relay down.
 // A shard-attached relay deregisters from its shard before the sockets
 // close, so the event loop never touches a dying fd; whatever the write
 // queues still hold is released back to the buffer pool.
@@ -390,9 +265,6 @@ func (r *Relay) Close() {
 		r.targetSide.Close()
 		r.drainQ(&r.qClient)
 		r.drainQ(&r.qTarget)
-		if r.clock != nil {
-			r.clock.Close()
-		}
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 	"tracemod/internal/core"
 	"tracemod/internal/emud/wheel"
 	"tracemod/internal/modulation"
+	"tracemod/internal/obs"
 	"tracemod/internal/replay"
 )
 
@@ -38,6 +39,42 @@ func constTrace(f time.Duration, loss float64) core.Trace {
 	return replay.Constant(core.DelayParams{F: f, Vb: 100, Vr: 0}, loss, time.Hour, time.Second)
 }
 
+// shapingEngine builds an engine replaying trace in a loop, with exact
+// scheduling, seed driving its drop lottery and reg (may be nil)
+// receiving its metrics, on a single-shard wall-clock wheel that closes
+// when the test ends.
+func shapingEngine(tb testing.TB, trace core.Trace, seed int64, reg *obs.Registry) *modulation.Engine {
+	w := wheel.New(wheel.Options{Shards: 1})
+	tb.Cleanup(w.Close)
+	return modulation.NewEngine(w, &modulation.SliceSource{Trace: trace, Loop: true}, modulation.Config{
+		Tick: -1, RNG: rand.New(rand.NewSource(seed)), Metrics: reg,
+	})
+}
+
+// newRelay starts a relay toward target that shapes through a
+// shapingEngine of its own; it closes when the test ends.
+func newRelay(tb testing.TB, target *net.UDPAddr, trace core.Trace, seed int64, opts RelayOpts) *Relay {
+	tb.Helper()
+	r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(), shapingEngine(tb, trace, seed, nil), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(r.Close)
+	return r
+}
+
+// waitFor polls cond until it holds or timeout passes, and reports
+// whether it held.
+func waitFor(cond func() bool, timeout time.Duration) bool {
+	for deadline := time.Now().Add(timeout); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return true
+}
+
 func dialRelay(t *testing.T, r *Relay) *net.UDPConn {
 	t.Helper()
 	c, err := net.DialUDP("udp", nil, r.Addr())
@@ -51,13 +88,7 @@ func dialRelay(t *testing.T, r *Relay) *net.UDPConn {
 func TestRelayShapesRTT(t *testing.T) {
 	target := echoServer(t)
 	// 20ms one-way latency, exact scheduling: RTT must be >= 40ms.
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(20*time.Millisecond, 0), Tick: -1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(t, target, constTrace(20*time.Millisecond, 0), 1, RelayOpts{})
 	c := dialRelay(t, r)
 
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -89,13 +120,7 @@ func TestRelayShapesRTT(t *testing.T) {
 
 func TestRelayUnshapedIsFast(t *testing.T) {
 	target := echoServer(t)
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0), Tick: -1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(t, target, constTrace(0, 0), 1, RelayOpts{})
 	c := dialRelay(t, r)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 1024)
@@ -111,13 +136,7 @@ func TestRelayUnshapedIsFast(t *testing.T) {
 
 func TestRelayDropsPackets(t *testing.T) {
 	target := echoServer(t)
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0.7), Tick: -1, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(t, target, constTrace(0, 0.7), 7, RelayOpts{})
 	c := dialRelay(t, r)
 	const sent = 60
 	for i := 0; i < sent; i++ {
@@ -143,32 +162,11 @@ func TestRelayDropsPackets(t *testing.T) {
 }
 
 func TestRelayRejectsBadConfig(t *testing.T) {
-	if _, err := NewRelay("127.0.0.1:0", "127.0.0.1:9", Config{}); err == nil {
-		t.Fatal("empty trace must be rejected")
+	if _, err := NewRelayWithSubmitterOpts("127.0.0.1:0", "127.0.0.1:9", nil, RelayOpts{}); err == nil {
+		t.Fatal("nil submitter must be rejected")
 	}
-	bad := core.Trace{{D: -1}}
-	if _, err := NewRelay("127.0.0.1:0", "127.0.0.1:9", Config{Trace: bad}); err == nil {
-		t.Fatal("invalid trace must be rejected")
-	}
-	if _, err := NewRelay("not-an-addr", "127.0.0.1:9", Config{Trace: constTrace(0, 0)}); err == nil {
+	if _, err := NewRelayWithSubmitterOpts("not-an-addr", "127.0.0.1:9", instantSubmitter{}, RelayOpts{}); err == nil {
 		t.Fatal("bad listen address must be rejected")
-	}
-}
-
-func TestRealClockMonotone(t *testing.T) {
-	c := NewRealClock()
-	a := c.Now()
-	time.Sleep(5 * time.Millisecond)
-	b := c.Now()
-	if b <= a {
-		t.Fatal("clock must advance")
-	}
-	fired := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(fired) })
-	select {
-	case <-fired:
-	case <-time.After(time.Second):
-		t.Fatal("AfterFunc never fired")
 	}
 }
 
@@ -186,10 +184,6 @@ func TestRelayWithExternalEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(), nil, RelayOpts{}); err == nil {
-		t.Fatal("nil submitter must be rejected")
-	}
-
 	c := dialRelay(t, r)
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 1024)
@@ -240,16 +234,9 @@ func TestRelayCarriesClassBoundaryDatagrams(t *testing.T) {
 			var g *PumpGroup
 			if tc.shards > 0 {
 				g = NewPumpGroup(PumpGroupConfig{Shards: tc.shards})
-				defer g.Close()
+				t.Cleanup(g.Close)
 			}
-			r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-				Trace: constTrace(0, 0), Tick: -1, Seed: 1,
-				RelayOpts: RelayOpts{Group: g, ForceGenericIO: tc.force},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
+			r := newRelay(t, target, constTrace(0, 0), 1, RelayOpts{Group: g, ForceGenericIO: tc.force})
 			if _, ok := r.clientIO.(*genericConn); ok != tc.force {
 				t.Fatalf("client side pktio %T, want generic=%v", r.clientIO, tc.force)
 			}

@@ -68,12 +68,8 @@ func TestRelaySurvivesPanickingSubmitter(t *testing.T) {
 			if _, err := c.Write([]byte("first")); err != nil {
 				t.Fatal(err)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for r.Stats().SubmitPanics == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("the panicking burst was never submitted")
-				}
-				time.Sleep(time.Millisecond)
+			if !waitFor(func() bool { return r.Stats().SubmitPanics > 0 }, 5*time.Second) {
+				t.Fatal("the panicking burst was never submitted")
 			}
 			burstEcho(t, r, 50, 8)
 			st := settledStats(t, r, 50)
@@ -121,14 +117,12 @@ func burstEcho(t *testing.T, r *Relay, n, window int) {
 // for the count instead.
 func settledStats(t *testing.T, r *Relay, want int64) Stats {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := r.Stats()
-		if (st.ClientToTarget >= want && st.TargetToClient >= want) || time.Now().After(deadline) {
-			return st
-		}
-		time.Sleep(time.Millisecond)
-	}
+	var st Stats
+	waitFor(func() bool {
+		st = r.Stats()
+		return st.ClientToTarget >= want && st.TargetToClient >= want
+	}, 5*time.Second)
+	return st
 }
 
 // TestRelayBurstSharded drives a burst workload through a relay on a
@@ -142,12 +136,7 @@ func TestRelayBurstSharded(t *testing.T) {
 		t.Fatal("pump group failed to start shards")
 	}
 	target := echoServer(t)
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0), Tick: -1, Seed: 1, RelayOpts: RelayOpts{Group: g},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRelay(t, target, constTrace(0, 0), 1, RelayOpts{Group: g})
 	if !r.Sharded() {
 		t.Fatal("relay did not attach to the group")
 	}
@@ -174,13 +163,7 @@ func TestRelayBurstSharded(t *testing.T) {
 // identical (this is what non-Linux builds run all the time).
 func TestRelayBurstGenericFallback(t *testing.T) {
 	target := echoServer(t)
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(0, 0), Tick: -1, Seed: 1, RelayOpts: RelayOpts{ForceGenericIO: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(t, target, constTrace(0, 0), 1, RelayOpts{ForceGenericIO: true})
 	if r.Sharded() {
 		t.Fatal("ForceGenericIO relay must not be sharded")
 	}
@@ -246,14 +229,7 @@ func TestShardedGoroutinesFlat(t *testing.T) {
 // pin 256 MiB if each parked pump kept a full batch of pooled buffers.
 func TestIdleGrouplessRelaysPinNoReadBuffers(t *testing.T) {
 	target := echoServer(t)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC() // the second cycle frees the sync.Pool victim cache
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	relays := make([]*Relay, 64)
 	for i := range relays {
 		r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(),
@@ -272,18 +248,7 @@ func TestIdleGrouplessRelaysPinNoReadBuffers(t *testing.T) {
 	}
 	// The last pump to write an echo may not have parked yet; poll.
 	const limit = 16 << 20
-	var grew uint64
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if after := heap(); after > before {
-			grew = after - before
-		} else {
-			grew = 0
-		}
-		if grew < limit || time.Now().After(deadline) {
-			break
-		}
-		runtime.Gosched()
-	}
+	grew := heapGrowthBelow(before, limit, 5*time.Second)
 	t.Logf("64 idle group-less relays: HeapAlloc grew %d KiB", grew>>10)
 	if grew >= limit {
 		t.Fatalf("64 idle group-less relays grew HeapAlloc by %d MiB, want < %d MiB",
@@ -303,20 +268,18 @@ func liveHeap() uint64 {
 }
 
 // heapGrowthBelow polls until HeapAlloc has grown less than limit over
-// before, or until deadline, and returns the last growth seen: the last
+// before, or until timeout, and returns the last growth seen: the last
 // reader to finish may not have returned its read scratch yet.
-func heapGrowthBelow(before, limit uint64, deadline time.Time) uint64 {
+func heapGrowthBelow(before, limit uint64, timeout time.Duration) uint64 {
 	var grew uint64
-	for {
+	waitFor(func() bool {
 		grew = 0
 		if after := liveHeap(); after > before {
 			grew = after - before
 		}
-		if grew < limit || time.Now().After(deadline) {
-			return grew
-		}
-		runtime.Gosched()
-	}
+		return grew < limit
+	}, timeout)
+	return grew
 }
 
 // TestIdleShardsPinNoReadBuffers checks that PumpGroup shards hold no
@@ -348,7 +311,7 @@ func TestIdleShardsPinNoReadBuffers(t *testing.T) {
 		burstEcho(t, r, 8, 8)
 	}
 	const limit = 1 << 20
-	grew := heapGrowthBelow(before, limit, time.Now().Add(5*time.Second))
+	grew := heapGrowthBelow(before, limit, 5*time.Second)
 	t.Logf("64 idle sharded relays: HeapAlloc grew %d KiB", grew>>10)
 	if grew >= limit {
 		t.Fatalf("64 idle sharded relays grew HeapAlloc by %d KiB, want < %d KiB",
@@ -364,14 +327,7 @@ func TestInFlightDatagramsPinTheirSizeClass(t *testing.T) {
 	target := sinkServer(t)
 	before := liveHeap() // the relay's own state counts against the limit
 	const hold = 2 * time.Second
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: replay.Constant(core.DelayParams{F: hold}, 0, 10*time.Second, time.Second),
-		Tick:  -1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(t, target, replay.Constant(core.DelayParams{F: hold}, 0, 10*time.Second, time.Second), 1, RelayOpts{})
 	c := dialRelay(t, r)
 	payload := make([]byte, 100)
 	start := time.Now()
@@ -383,15 +339,13 @@ func TestInFlightDatagramsPinTheirSizeClass(t *testing.T) {
 			}
 		}
 		// Pace against the relay so the socket buffer never overflows.
-		for r.Stats().ReadPackets < int64(sent+window) {
-			if time.Since(start) > hold/4 {
-				t.Fatalf("relay read %d/%d datagrams", r.Stats().ReadPackets, total)
-			}
-			time.Sleep(100 * time.Microsecond)
+		read := func() bool { return r.Stats().ReadPackets >= int64(sent+window) }
+		if !waitFor(read, time.Until(start.Add(hold/4))) {
+			t.Fatalf("relay read %d/%d datagrams", r.Stats().ReadPackets, total)
 		}
 	}
 	const limit = 2 << 20
-	grew := heapGrowthBelow(before, limit, start.Add(hold/2))
+	grew := heapGrowthBelow(before, limit, time.Until(start.Add(hold/2)))
 	st := r.Stats()
 	t.Logf("%d datagrams of %d B in flight: HeapAlloc grew %d KiB",
 		total-st.ClientToTarget, len(payload), grew>>10)
@@ -403,11 +357,8 @@ func TestInFlightDatagramsPinTheirSizeClass(t *testing.T) {
 		t.Fatalf("%d in-flight %d-byte datagrams grew HeapAlloc by %d KiB, want < %d KiB",
 			total, len(payload), grew>>10, limit>>10)
 	}
-	for deadline := time.Now().Add(5 * time.Second); r.Stats().ClientToTarget < total; {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/%d held datagrams", r.Stats().ClientToTarget, total)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !waitFor(func() bool { return r.Stats().ClientToTarget >= total }, 5*time.Second) {
+		t.Fatalf("delivered %d/%d held datagrams", r.Stats().ClientToTarget, total)
 	}
 }
 
@@ -421,12 +372,7 @@ func TestRelayCloseMidBurst(t *testing.T) {
 		if BatchIOSupported() && round%2 == 0 {
 			g = NewPumpGroup(PumpGroupConfig{Shards: 1})
 		}
-		r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-			Trace: constTrace(0, 0), Tick: -1, Seed: 1, RelayOpts: RelayOpts{Group: g},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := newRelay(t, target, constTrace(0, 0), 1, RelayOpts{Group: g})
 		c, err := net.DialUDP("udp", nil, r.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -474,18 +420,11 @@ func sinkServer(tb testing.TB) *net.UDPAddr {
 // against the relay's processed count so the kernel socket buffer never
 // overflows), and the relay shapes and forwards to a sink. Reported
 // metric: pps through read→modulate→write.
-func benchRelayThroughput(b *testing.B, cfg Config) {
-	target := sinkServer(b)
+func benchRelayThroughput(b *testing.B, opts RelayOpts) {
 	// A true pass-through trace (zero fixed and per-byte delay, zero
 	// loss): every packet takes the engine's immediate path, so the
 	// benchmark measures data-plane overhead, not emulated bandwidth.
-	cfg.Trace = replay.Constant(core.DelayParams{}, 0, time.Hour, time.Second)
-	cfg.Tick, cfg.Seed = -1, 1
-	r, err := NewRelay("127.0.0.1:0", target.String(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(b, sinkServer(b), replay.Constant(core.DelayParams{}, 0, time.Hour, time.Second), 1, opts)
 	r.clientSide.SetReadBuffer(4 << 20)
 
 	c, err := net.DialUDP("udp", nil, r.Addr())
@@ -521,11 +460,8 @@ func benchRelayThroughput(b *testing.B, cfg Config) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	for r.rxPkts.Load() < int64(b.N) {
-		if time.Since(start) > 30*time.Second {
-			b.Fatalf("relay processed %d/%d", r.rxPkts.Load(), b.N)
-		}
-		time.Sleep(20 * time.Microsecond)
+	if !waitFor(func() bool { return r.rxPkts.Load() >= int64(b.N) }, 30*time.Second) {
+		b.Fatalf("relay processed %d/%d", r.rxPkts.Load(), b.N)
 	}
 	b.StopTimer()
 	elapsed := time.Since(start)
@@ -543,9 +479,9 @@ func BenchmarkLivewireThroughput(b *testing.B) {
 		}
 		g := NewPumpGroup(PumpGroupConfig{Shards: 2})
 		defer g.Close()
-		benchRelayThroughput(b, Config{RelayOpts: RelayOpts{Group: g}})
+		benchRelayThroughput(b, RelayOpts{Group: g})
 	})
 	b.Run("generic", func(b *testing.B) {
-		benchRelayThroughput(b, Config{RelayOpts: RelayOpts{ForceGenericIO: true}})
+		benchRelayThroughput(b, RelayOpts{ForceGenericIO: true})
 	})
 }

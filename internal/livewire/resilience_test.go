@@ -33,14 +33,8 @@ func reservePort(t *testing.T) *net.UDPAddr {
 func TestRelaySurvivesRefusedTarget(t *testing.T) {
 	target := reservePort(t)
 
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(time.Millisecond, 0), Tick: -1, Seed: 1,
-		RelayOpts: RelayOpts{Retry: faults.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := newRelay(t, target, constTrace(time.Millisecond, 0), 1,
+		RelayOpts{Retry: faults.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond}})
 	c := dialRelay(t, r)
 
 	// Poke the dead target. Each relayed write bounces an ICMP refusal
@@ -72,18 +66,16 @@ func TestRelaySurvivesRefusedTarget(t *testing.T) {
 
 	// Traffic must resume without touching the relay.
 	buf := make([]byte, 64)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("traffic never resumed; stats: %+v", r.Stats())
-		}
+	echoed := func() bool {
 		if _, err := c.Write([]byte("ping")); err != nil {
 			t.Fatal(err)
 		}
 		c.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		if _, err := c.Read(buf); err == nil {
-			break
-		}
+		_, err := c.Read(buf)
+		return err == nil
+	}
+	if !waitFor(echoed, 10*time.Second) {
+		t.Fatalf("traffic never resumed; stats: %+v", r.Stats())
 	}
 	if st := r.Stats(); st.SocketErrors == 0 {
 		t.Fatalf("the refused target never registered: %+v", st)
@@ -94,13 +86,11 @@ func TestRelaySurvivesRefusedTarget(t *testing.T) {
 // parked in a long retry sleep must wake on r.closed, not serve out its
 // backoff.
 func TestRelayCloseInterruptsBackoff(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	target := reservePort(t)
-
-	r, err := NewRelay("127.0.0.1:0", target.String(), Config{
-		Trace: constTrace(time.Millisecond, 0), Tick: -1, Seed: 1,
-		RelayOpts: RelayOpts{Retry: faults.Backoff{Base: time.Hour, Max: time.Hour}},
-	})
+	eng := shapingEngine(t, constTrace(time.Millisecond, 0), 1, nil)
+	baseline := runtime.NumGoroutine()
+	r, err := NewRelayWithSubmitterOpts("127.0.0.1:0", target.String(), eng,
+		RelayOpts{Retry: faults.Backoff{Base: time.Hour, Max: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +103,11 @@ func TestRelayCloseInterruptsBackoff(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	start := time.Now()
 	r.Close()
-	// Both pumps (and the clock) must be gone promptly.
-	for runtime.NumGoroutine() > baseline {
-		if time.Since(start) > 5*time.Second {
-			t.Fatalf("pump goroutines survived Close for %v (baseline %d, now %d)",
-				time.Since(start), baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Both pumps must be gone promptly.
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= baseline }, 5*time.Second) {
+		t.Fatalf("pump goroutines survived Close for 5s (baseline %d, now %d)",
+			baseline, runtime.NumGoroutine())
 	}
 }
 

@@ -134,21 +134,13 @@ type Config struct {
 	// When nil the engine carries no instruments and the packet path does
 	// no metric work beyond one pointer test.
 	Metrics *obs.Registry
-	// Tracer, if non-nil, receives a packet-lifecycle event at each stage
-	// decision (submit, bottleneck entry/exit, compensation, drop,
-	// quantization, delivery, tuple switch). Events are recorded when the
-	// engine makes the corresponding decision; for stages that complete
-	// later (bottleneck exit, delivery) Event.At carries the scheduled
-	// instant. When nil the packet path does no tracing work beyond one
-	// pointer test.
-	Tracer obs.Tracer
 	// Spans, if non-nil, lets the engine root sampled per-packet spans of
 	// its own ("modulation.packet") when the caller did not hand one in
-	// via SubmitSpan — the standalone relay and the experiment harness use
-	// this; emud passes session-rooted spans instead. The span tracer's
-	// clock should share the engine clock's epoch so span times line up
-	// with event times. When nil (and no parent is passed) the packet path
-	// does no span work beyond two pointer tests.
+	// via SubmitSpan — the experiment harness uses this; emud passes
+	// session-rooted spans instead. The span tracer's clock should share
+	// the engine clock's epoch so span start and end times line up with
+	// the engine-stamped span events. When nil (and no parent is passed)
+	// the packet path does no span work beyond two pointer tests.
 	Spans *span.Tracer
 }
 
@@ -157,6 +149,10 @@ type Config struct {
 // draws from the shared global math/rand source, so a defaulted engine's
 // drop sequence is reproducible and isolated from unrelated code.
 const DefaultDropSeed = 1997
+
+// DropLottery is the value of a packet span's "drop" event: the tuple's
+// loss probability fired. It is the only reason the engine drops.
+const DropLottery = 1
 
 // Stats counts engine activity.
 type Stats struct {
@@ -238,7 +234,6 @@ type Engine struct {
 	busy       time.Duration // bottleneck queue busy-until
 
 	ins      *instruments // nil = metrics off
-	tracer   obs.Tracer   // nil = event tracing off
 	spans    *span.Tracer // nil = self-rooted span tracing off
 	inflight int64        // packets currently inside the bottleneck queue
 
@@ -279,7 +274,7 @@ func NewEngine(clock Clock, src Source, cfg Config) *Engine {
 	if cfg.RNG == nil {
 		cfg.RNG = rand.New(rand.NewSource(DefaultDropSeed))
 	}
-	e := &Engine{clock: clock, src: src, cfg: cfg, tracer: cfg.Tracer, spans: cfg.Spans}
+	e := &Engine{clock: clock, src: src, cfg: cfg, spans: cfg.Spans}
 	e.advanceFn, e.occupancyDoneFn = e.onAdvanceTimer, e.onOccupancyDone
 	if cfg.Tick > 0 {
 		e.pending = make(map[time.Duration]*tickBatch)
@@ -389,9 +384,6 @@ func (e *Engine) advance(now time.Duration) {
 			e.ins.tuples.Inc()
 			e.ins.activeTuple.Set(e.stats.Tuples)
 			e.ins.tupleLabel = strconv.FormatInt(e.stats.Tuples, 10)
-		}
-		if e.tracer != nil {
-			e.tracer.Record(obs.Event{At: now, Kind: obs.EvTupleSwitch, Dir: -1, Tuple: e.stats.Tuples, Value: t.D})
 		}
 	}
 }
@@ -544,16 +536,10 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 			sp.EventAt("cursor-advance", now, e.stats.Tuples)
 		}
 	}
-	if e.tracer != nil {
-		e.tracer.Record(obs.Event{At: now, Kind: obs.EvSubmit, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples})
-	}
 	if !e.curOK {
 		// No tuple has ever arrived: pass traffic through unmodulated,
 		// as the kernel does before the daemon first writes.
 		e.ins.deliverImmediate(0)
-		if e.tracer != nil {
-			e.tracer.Record(obs.Event{At: now, Kind: obs.EvDeliver, Dir: int8(dir), Size: int32(size), Aux: 1})
-		}
 		if sp != nil {
 			sp.EventAt("deliver-unmodulated", now, 0)
 			sp.EndAt(now)
@@ -574,13 +560,10 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 		if vb < 0 {
 			vb = 0
 		}
-		if e.ins != nil || e.tracer != nil || sp != nil {
+		if e.ins != nil || sp != nil {
 			if adjust := vb.Cost(size) - t.Vb.Cost(size); adjust != 0 {
 				if e.ins != nil {
 					e.ins.compensated.Inc()
-				}
-				if e.tracer != nil {
-					e.tracer.Record(obs.Event{At: now, Kind: obs.EvCompensate, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Value: adjust})
 				}
 				sp.EventAt("compensate", now, int64(adjust))
 			}
@@ -598,10 +581,6 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 		e.ins.serHist.Observe(finishBottleneck - start)
 		e.trackOccupancy(now, finishBottleneck)
 	}
-	if e.tracer != nil {
-		e.tracer.Record(obs.Event{At: now, Kind: obs.EvBottleneckEnter, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Value: start - now})
-		e.tracer.Record(obs.Event{At: finishBottleneck, Kind: obs.EvBottleneckExit, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Value: finishBottleneck - start})
-	}
 	if sp != nil {
 		sp.EventAt("bneck-enter", now, int64(start-now))
 		sp.EventAt("bneck-exit", finishBottleneck, int64(finishBottleneck-start))
@@ -615,11 +594,8 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 			e.ins.dropped.Inc()
 			e.ins.dropsByTuple.With(e.ins.tupleLabel).Inc()
 		}
-		if e.tracer != nil {
-			e.tracer.Record(obs.Event{At: now, Kind: obs.EvDrop, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Aux: int64(obs.DropLottery)})
-		}
 		if sp != nil {
-			sp.EventAt("drop", now, int64(obs.DropLottery))
+			sp.EventAt("drop", now, DropLottery)
 			sp.EndAt(now)
 		}
 		return drop, 0, nil // drop may be nil; the caller skips a nil sync
@@ -632,7 +608,7 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 	if e.cfg.Tick > 0 {
 		if delay < e.cfg.Tick/2 {
 			// Under half a tick: send immediately.
-			e.bookImmediate(now, dir, size, sp)
+			e.bookImmediate(now, sp)
 			return deliver, 0, nil
 		}
 		// Round the delivery time to the closest clock tick.
@@ -641,17 +617,14 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 		if e.ins != nil {
 			e.ins.quantHist.Observe(target - exact)
 		}
-		if e.tracer != nil {
-			e.tracer.Record(obs.Event{At: now, Kind: obs.EvQuantize, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Value: target - exact})
-		}
 		sp.EventAt("quantize", now, int64(target-exact))
 		delay = target - now
 		if delay <= 0 {
-			e.bookImmediate(now, dir, size, sp)
+			e.bookImmediate(now, sp)
 			return deliver, 0, nil
 		}
 	} else if delay <= 0 {
-		e.bookImmediate(now, dir, size, sp)
+		e.bookImmediate(now, sp)
 		return deliver, 0, nil
 	}
 
@@ -660,9 +633,6 @@ func (e *Engine) submitLocked(now time.Duration, dir simnet.Direction, size int,
 		e.ins.delivered.Inc()
 		e.ins.scheduled.Inc()
 		e.ins.delayHist.Observe(delay)
-	}
-	if e.tracer != nil {
-		e.tracer.Record(obs.Event{At: target, Kind: obs.EvDeliver, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Value: delay})
 	}
 	if sp != nil {
 		// Cover the scheduled wait with a child ended when the timer
@@ -741,12 +711,9 @@ func (e *Engine) fireBatch(target time.Duration) {
 
 // bookImmediate books an under-half-tick delivery; the caller invokes
 // deliver once e.mu is released. Called with e.mu held.
-func (e *Engine) bookImmediate(now time.Duration, dir simnet.Direction, size int, sp *span.Span) {
+func (e *Engine) bookImmediate(now time.Duration, sp *span.Span) {
 	e.stats.Immediate++
 	e.ins.deliverImmediate(0)
-	if e.tracer != nil {
-		e.tracer.Record(obs.Event{At: now, Kind: obs.EvDeliver, Dir: int8(dir), Size: int32(size), Tuple: e.stats.Tuples, Aux: 1})
-	}
 	if sp != nil {
 		sp.EventAt("deliver-immediate", now, 0)
 		sp.EndAt(now)

@@ -1,20 +1,16 @@
-// The live-introspection surface: an HTTP debug listener serving the
-// metric snapshot (/metrics, Prometheus text; /metrics?format=text, human
-// dump), a liveness probe (/healthz), the buffered lifecycle events
-// (/debug/events), and the stdlib profiler (/debug/pprof/...).
+// The live-introspection surface: HTTP routes serving the metric snapshot
+// (/metrics, Prometheus text; /metrics?format=text, human dump), a
+// liveness probe (/healthz), and the stdlib profiler (/debug/pprof/...).
 package obs
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
-// Mux builds the debug mux for a registry and an optional event tracer
-// (nil tr disables /debug/events).
-func Mux(reg *Registry, tr *RingTracer) *http.ServeMux {
+// Mux builds the debug mux for a registry.
+func Mux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if req.URL.Query().Get("format") == "text" {
@@ -29,16 +25,6 @@ func Mux(reg *Registry, tr *RingTracer) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if tr == nil {
-			fmt.Fprintln(w, "event tracing disabled")
-			return
-		}
-		fmt.Fprintf(w, "%d buffered events (%d recorded, %d overwritten)\n\n",
-			tr.Len(), tr.Total(), tr.Overwritten())
-		_ = tr.Dump(w)
-	})
 	// The stdlib profiler, mounted explicitly so nothing leaks onto
 	// http.DefaultServeMux.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -48,28 +34,3 @@ func Mux(reg *Registry, tr *RingTracer) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// DebugServer is a running debug listener.
-type DebugServer struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// StartDebugServer binds addr (use a ":0" port to pick a free one) and
-// serves the debug mux in a background goroutine. tr may be nil.
-func StartDebugServer(addr string, reg *Registry, tr *RingTracer) (*DebugServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: debug listener: %w", err)
-	}
-	srv := &http.Server{Handler: Mux(reg, tr), ReadHeaderTimeout: 5 * time.Second}
-	s := &DebugServer{ln: ln, srv: srv}
-	go func() { _ = srv.Serve(ln) }()
-	return s, nil
-}
-
-// Addr returns the bound address (host:port).
-func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener.
-func (s *DebugServer) Close() error { return s.srv.Close() }

@@ -1,7 +1,7 @@
 // Package obs is the repository's telemetry subsystem: lock-free metric
 // primitives (counters, gauges, fixed-bucket duration histograms), a named
-// registry with Prometheus-text and human-readable export, a bounded
-// ring-buffer packet-lifecycle event tracer, and an HTTP debug listener.
+// registry with Prometheus-text and human-readable export, and the HTTP
+// debug routes that serve it. Per-packet tracing lives in obs/span.
 //
 // The package is dependency-free (stdlib only) and built so that a
 // component instrumented with it pays ~nothing when observation is off:

@@ -304,3 +304,24 @@ func SlowNetLike(dur time.Duration) core.Trace {
 	}
 	return Constant(params, 0.02, dur, time.Second)
 }
+
+// Synthetic builds a synthetic trace of length dur by name: "wavelan",
+// "slow", "step", or "impulse" (Section 6's synthetic-trace application).
+func Synthetic(kind string, dur time.Duration) (core.Trace, error) {
+	switch kind {
+	case "wavelan":
+		return WaveLANLike(dur), nil
+	case "slow":
+		return SlowNetLike(dur), nil
+	case "step":
+		good := core.DelayParams{F: 2 * time.Millisecond, Vb: core.PerByteFromBandwidth(1.5e6), Vr: 300}
+		bad := core.DelayParams{F: 20 * time.Millisecond, Vb: core.PerByteFromBandwidth(200e3), Vr: 2000}
+		return Step(good, bad, 0.01, 0.05, dur/2, dur, time.Second), nil
+	case "impulse":
+		good := core.DelayParams{F: 2 * time.Millisecond, Vb: core.PerByteFromBandwidth(1.5e6), Vr: 300}
+		spike := core.DelayParams{F: 100 * time.Millisecond, Vb: core.PerByteFromBandwidth(100e3), Vr: 5000}
+		return Impulse(good, spike, 0.01, 0.3, dur/3, dur/6, dur, time.Second), nil
+	default:
+		return nil, fmt.Errorf("unknown synthetic trace %q (want wavelan, slow, step or impulse)", kind)
+	}
+}
