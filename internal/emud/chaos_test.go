@@ -13,12 +13,15 @@ package emud
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -291,6 +294,11 @@ func TestChaosFarmSurvivesAllFaults(t *testing.T) {
 	t.Logf("chaos: recovered %d sessions after simulated kill -9", n)
 }
 
+// chaosClient bounds every chaos control-plane request, so a hung
+// request fails with a goroutine dump instead of running into the
+// package timeout with no clue.
+var chaosClient = &http.Client{Timeout: 30 * time.Second}
+
 // tryJSON is doJSON without a status assertion: chaos clients must
 // tolerate injected control-plane failures.
 func tryJSON(t *testing.T, method, url string, body any, out any) (string, int) {
@@ -309,18 +317,34 @@ func tryJSON(t *testing.T, method, url string, body any, out any) (string, int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := chaosClient.Do(req)
 	if err != nil {
+		fatalOnTimeout(t, err)
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		fatalOnTimeout(t, err)
+	}
 	if out != nil && resp.StatusCode < 300 {
 		if err := json.Unmarshal(raw, out); err != nil {
 			t.Fatalf("decoding %q: %v", raw, err)
 		}
 	}
 	return string(raw), resp.StatusCode
+}
+
+// fatalOnTimeout fails the test with a full goroutine dump when err is a
+// client timeout: a hung request is a fault to diagnose, not to tolerate.
+func fatalOnTimeout(t *testing.T, err error) {
+	t.Helper()
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		var dump bytes.Buffer
+		_ = pprof.Lookup("goroutine").WriteTo(&dump, 2)
+		t.Fatalf("%v\ngoroutines at the timeout:\n%s", err, dump.String())
+	}
 }
 
 // A kill -9 between upload chunks, repeated at random cut points: each

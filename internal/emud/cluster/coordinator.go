@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -551,16 +552,19 @@ func (c *Coordinator) noteProbe(name string, ok, draining bool, snap *emud.FarmS
 	}
 }
 
-// singleSnapshot carves one session (and the trace it references) out of
-// a farm snapshot so it can be restored alone on another worker.
-func singleSnapshot(snap *emud.FarmSnapshot, ss emud.SessionSnapshot) *emud.FarmSnapshot {
+// singleSnapshot carves session i (and the trace it references) out of a
+// farm snapshot so it can be restored alone on another worker. The full
+// slice expression caps the sub-snapshot at its one session, so an append
+// to it can never overwrite the next session in the cached snapshot.
+func singleSnapshot(snap *emud.FarmSnapshot, i int) *emud.FarmSnapshot {
+	ref := snap.Sessions[i].TraceRef
 	sub := &emud.FarmSnapshot{
 		TakenUnixNano: snap.TakenUnixNano,
 		Traces:        make(map[string][]emud.TupleJSON, 1),
-		Sessions:      []emud.SessionSnapshot{ss},
+		Sessions:      snap.Sessions[i : i+1 : i+1],
 	}
-	if t, ok := snap.Traces[ss.TraceRef]; ok {
-		sub.Traces[ss.TraceRef] = t
+	if t, ok := snap.Traces[ref]; ok {
+		sub.Traces[ref] = t
 	}
 	return sub
 }
@@ -580,15 +584,22 @@ func (c *Coordinator) failoverWorker(name string) {
 	c.failovers.Inc()
 
 	c.mu.Lock()
-	w := c.workers[name]
 	var snap *emud.FarmSnapshot
-	if w != nil {
+	if w := c.workers[name]; w != nil {
 		snap = w.snap
 	}
-	owned := make([]string, 0)
+	inSnap := make(map[string]bool)
+	if snap != nil {
+		for _, ss := range snap.Sessions {
+			inSnap[ss.ID] = true
+		}
+	}
+	// Sessions placed here that the cache never saw are lost: forget them.
+	lost := 0
 	for id, wn := range c.place {
-		if wn == name {
-			owned = append(owned, id)
+		if wn == name && !inSnap[id] {
+			delete(c.place, id)
+			lost++
 		}
 	}
 	// The dead worker's streams are gone with its WAL directory; drop
@@ -602,51 +613,47 @@ func (c *Coordinator) failoverWorker(name string) {
 	}
 	c.mu.Unlock()
 
-	inSnap := make(map[string]emud.SessionSnapshot)
-	if snap != nil {
-		for _, ss := range snap.Sessions {
-			inSnap[ss.ID] = ss
-		}
-	}
-	lost := 0
-	for _, id := range owned {
-		if _, ok := inSnap[id]; !ok {
-			lost++
-			c.mu.Lock()
-			delete(c.place, id)
-			c.mu.Unlock()
-		}
-	}
-
 	moved := 0
-	for id, ss := range inSnap {
-		began := time.Now()
-		target, addr, ok := c.pickAlive(id)
-		if !ok {
-			lost++
-			c.mu.Lock()
-			delete(c.place, id)
-			c.mu.Unlock()
-			continue
+	if snap != nil {
+		for i, ss := range snap.Sessions {
+			began := time.Now()
+			if target, err := c.land(ss.ID, singleSnapshot(snap, i)); err != nil {
+				c.log.Error("failover restore failed", "session", ss.ID, "target", target, "err", err)
+				lost++
+				continue
+			}
+			moved++
+			c.failoverHist.Observe(time.Since(began))
 		}
-		if err := c.postRestore(addr, singleSnapshot(snap, ss)); err != nil {
-			c.log.Error("failover restore failed", "session", id, "target", target, "err", err)
-			lost++
-			c.mu.Lock()
-			delete(c.place, id)
-			c.mu.Unlock()
-			continue
-		}
-		moved++
-		c.failoverHist.Observe(time.Since(began))
-		c.mu.Lock()
-		c.place[id] = target
-		c.mu.Unlock()
 	}
 	c.failedOver.Add(int64(moved))
 	c.lost.Add(int64(lost))
 	c.log.Info("failover complete", "worker", name,
 		"moved", moved, "lost", lost, "streams_lost", lostStreams)
+}
+
+// errNoSurvivor is land's refusal when the ring has no member left.
+var errNoSurvivor = errors.New("cluster: no survivor on the ring")
+
+// land is the one step that places a moved session: it restores snap on
+// the session's ring owner and records the placement, or forgets the
+// placement on any failure, so placed_sessions never counts a session
+// that exists on no worker. Failover and migration both land through it.
+func (c *Coordinator) land(id string, snap *emud.FarmSnapshot) (target string, err error) {
+	target, addr, ok := c.pickAlive(id)
+	if !ok {
+		err = errNoSurvivor
+	} else {
+		err = c.postRestore(addr, snap)
+	}
+	c.mu.Lock()
+	if err == nil {
+		c.place[id] = target
+	} else {
+		delete(c.place, id)
+	}
+	c.mu.Unlock()
+	return target, err
 }
 
 // pickAlive places key on the ring and resolves the member's address.
@@ -785,28 +792,17 @@ func (c *Coordinator) migrateWorker(name string) (moved, skipped int, err error)
 			skipped++
 			continue
 		}
-		target, taddr, ok := c.pickAlive(si.ID)
-		if !ok {
-			// No survivor to land on: the session has already been
-			// quiesced and deleted from the source, so its state lives
-			// only in this snapshot now. Count it lost.
+		target, lerr := c.land(si.ID, snap)
+		if lerr != nil {
+			// The session has already been quiesced and deleted from the
+			// source, so its state lived only in this snapshot. Count it
+			// lost.
 			c.lost.Inc()
-			c.log.Error("no migration target; session lost", "session", si.ID)
-			continue
-		}
-		if rerr := c.postRestore(taddr, snap); rerr != nil {
-			c.lost.Inc()
-			c.log.Error("migration restore failed", "session", si.ID, "target", target, "err", rerr)
-			c.mu.Lock()
-			delete(c.place, si.ID)
-			c.mu.Unlock()
+			c.log.Error("migration restore failed; session lost", "session", si.ID, "target", target, "err", lerr)
 			continue
 		}
 		moved++
 		c.migrated.Inc()
-		c.mu.Lock()
-		c.place[si.ID] = target
-		c.mu.Unlock()
 		c.log.Info("session migrated", "session", si.ID, "from", name, "to", target)
 	}
 	return moved, skipped, nil

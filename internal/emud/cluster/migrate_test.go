@@ -33,6 +33,30 @@ func outcomes(t *testing.T, s *emud.Session, n int) string {
 	return sb.String()
 }
 
+// TestMigrationWithoutSurvivorForgetsPlacement: draining the only
+// worker leaves no ring member to land on, so the handed-off session is
+// lost — and its placement must go with it, or placed_sessions keeps
+// counting a session that exists on no worker.
+func TestMigrationWithoutSurvivorForgetsPlacement(t *testing.T) {
+	w1 := newTestWorker(t, "w1")
+	c, srv := newTestCluster(t, w1)
+	if res, raw := postJSON(t, srv.URL+"/v1/sessions", inlineSession("alone", 1), nil); res.StatusCode != http.StatusCreated {
+		t.Fatalf("create = %d: %s", res.StatusCode, raw)
+	}
+	moved, skipped, err := c.DrainWorker("w1")
+	if err != nil || moved != 0 || skipped != 0 {
+		t.Fatalf("DrainWorker = (%d, %d, %v), want (0, 0, nil)", moved, skipped, err)
+	}
+	if got := c.lost.Load(); got != 1 {
+		t.Fatalf("lost = %d, want 1", got)
+	}
+	for _, wi := range c.Workers() {
+		if wi.Placed != 0 {
+			t.Fatalf("worker %s still has %d placed sessions", wi.Name, wi.Placed)
+		}
+	}
+}
+
 // TestDrainMigrationByteIdentity is the differential test the migration
 // design hangs on: a session that lives through a coordinator-driven
 // drain migration must produce byte-for-byte the same delivery/drop

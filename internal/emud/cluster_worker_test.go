@@ -117,6 +117,32 @@ func TestRestoreParksUnrecoverableTrace(t *testing.T) {
 	}
 }
 
+// TestParkedSessionStaysParkedAcrossMoves: a session parked for an
+// unrecoverable trace moves on as what it is — the next restore parks it
+// with ErrTraceUnrecoverable again, not as a stream-fed session whose
+// stream is gone.
+func TestParkedSessionStaysParkedAcrossMoves(t *testing.T) {
+	snap := &FarmSnapshot{Sessions: []SessionSnapshot{
+		{ID: "s-missing", TraceRef: "vanished", Loop: true, TickUS: -1, Running: true},
+	}}
+	m1 := newTestManager(t, Options{})
+	if _, err := m1.Restore(snap); !errors.Is(err, ErrTraceUnrecoverable) {
+		t.Fatalf("first restore err = %v", err)
+	}
+	again := m1.Snapshot()
+	if len(again.Sessions) != 1 || again.Sessions[0].Stream != "" {
+		t.Fatalf("parked session snapshotted as %+v", again.Sessions)
+	}
+	m2 := newTestManager(t, Options{})
+	n, err := m2.Restore(again)
+	if n != 1 || !errors.Is(err, ErrTraceUnrecoverable) {
+		t.Fatalf("second restore = (%d, %v), want (1, ErrTraceUnrecoverable)", n, err)
+	}
+	if s, _ := m2.Get("s-missing"); !errors.Is(s.RestoreError(), ErrTraceUnrecoverable) {
+		t.Fatalf("second restore parked with %v", s.RestoreError())
+	}
+}
+
 // TestHealthDrainingVersusOverloaded pins the /v1/health contract the
 // coordinator's probe depends on: draining fails readiness with status
 // "draining" while liveness stays up, and brownout past reject-streams

@@ -799,7 +799,7 @@ func (a *API) handoffSession(w http.ResponseWriter, r *http.Request) {
 	snap, err := a.m.Handoff(r.PathValue("id"), drain)
 	if err != nil {
 		code := http.StatusConflict
-		if strings.Contains(err.Error(), "not found") {
+		if errors.Is(err, ErrNoSession) {
 			code = http.StatusNotFound
 		}
 		writeErr(w, code, err)
@@ -906,7 +906,7 @@ func (a *API) createStream(w http.ResponseWriter, r *http.Request) {
 	st, err := a.m.Streams().Create(cfg)
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already exists") {
+		if errors.Is(err, ErrStreamExists) {
 			code = http.StatusConflict
 		}
 		writeStreamErr(w, code, err)

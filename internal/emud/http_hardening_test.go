@@ -18,11 +18,12 @@ func TestAPIErrorEnvelopeEverywhere(t *testing.T) {
 		method, path string
 		want         int
 	}{
-		{"GET", "/v1/sessions/nope", http.StatusNotFound},   // our handler
-		{"GET", "/no/such/route", http.StatusNotFound},      // ServeMux 404
-		{"DELETE", "/v1/farm", http.StatusMethodNotAllowed}, // ServeMux 405
-		{"GET", "/v1/faults", http.StatusNotFound},          // no injector
-		{"POST", "/v1/sessions", http.StatusBadRequest},     // empty body
+		{"GET", "/v1/sessions/nope", http.StatusNotFound},          // our handler
+		{"GET", "/no/such/route", http.StatusNotFound},             // ServeMux 404
+		{"DELETE", "/v1/farm", http.StatusMethodNotAllowed},        // ServeMux 405
+		{"GET", "/v1/faults", http.StatusNotFound},                 // no injector
+		{"POST", "/v1/sessions", http.StatusBadRequest},            // empty body
+		{"POST", "/v1/sessions/nope/handoff", http.StatusNotFound}, // ErrNoSession
 	} {
 		req, _ := http.NewRequest(tc.method, srv.URL+tc.path, nil)
 		resp, err := http.DefaultClient.Do(req)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -540,28 +541,40 @@ func (m *Manager) onPressureChange(_, to pressure.Level) {
 	}
 }
 
-// Create registers a new session in StateCreated. The trace must already
-// be resolved (the control plane goes through the Store first). Live
-// sessions skip trace validation: the growing trace may be empty at
-// create time, and every tuple was already sanitized at emission.
+// Create registers a new session in StateCreated under a freshly minted
+// ID. The trace must already be resolved (the control plane goes through
+// the Store first).
 //
 // Admission rides the brownout ladder: from shed-sampling upward new
 // sessions are refused with a typed BrownoutError (HTTP 429 +
 // Retry-After) — a new tenant is the most expensive unit the farm can
 // admit, so it is shed one rung before new streams. A draining farm
-// refuses with ErrDraining. Recovery's createRestored bypasses both
-// gates: failover must be able to land sessions on a loaded survivor.
+// refuses with ErrDraining. Restore registers through the same step but
+// bypasses both gates: failover must be able to land sessions on a
+// loaded survivor.
 func (m *Manager) Create(cfg SessionConfig) (*Session, error) {
-	if cfg.Live == nil {
-		if err := cfg.Trace.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if m.draining.Load() {
 		return nil, ErrDraining
 	}
 	if lvl := m.pressure.Level(); lvl >= pressure.ShedSampling {
 		return nil, &BrownoutError{Level: lvl, RetryAfter: m.pressure.RetryAfter()}
+	}
+	return m.register("", cfg, nil)
+}
+
+// register is the one step that brings a session into the farm, for
+// Create and Restore alike. An empty id mints the next free one; Restore
+// passes the snapshotted ID so clients' handles stay valid, and a
+// duplicate is refused. restoreErr, when non-nil, is surfaced in the
+// session's status: the session exists, but something it depended on
+// did not survive the move. Live sessions skip trace validation: the
+// growing trace may be empty at registration, and every tuple was
+// already sanitized at emission.
+func (m *Manager) register(id string, cfg SessionConfig, restoreErr error) (*Session, error) {
+	if cfg.Live == nil {
+		if err := cfg.Trace.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -571,13 +584,22 @@ func (m *Manager) Create(cfg SessionConfig) (*Session, error) {
 	if len(m.sessions) >= m.opts.MaxSessions {
 		return nil, fmt.Errorf("emud: session limit reached (%d): %w", m.opts.MaxSessions, ErrOverload)
 	}
-	m.seq++
+	if id == "" {
+		// Mint past any ID a restore has already taken.
+		for id == "" || m.sessions[id] != nil {
+			m.seq++
+			id = fmt.Sprintf("%ss-%06d", m.opts.SessionIDPrefix, m.seq)
+		}
+	} else if m.sessions[id] != nil {
+		return nil, fmt.Errorf("emud: session %s already exists", id)
+	}
 	s := &Session{
-		ID:      fmt.Sprintf("%ss-%06d", m.opts.SessionIDPrefix, m.seq),
-		cfg:     cfg,
-		created: m.wheel.Now(),
-		expLoss: cfg.Trace.WeightedLoss(),
-		m:       m,
+		ID:         id,
+		cfg:        cfg,
+		created:    m.wheel.Now(),
+		expLoss:    cfg.Trace.WeightedLoss(),
+		restoreErr: restoreErr,
+		m:          m,
 	}
 	if m.spans.Enabled() {
 		s.flight = span.NewFlightRecorder(m.opts.FlightSpans)
@@ -603,19 +625,10 @@ func (m *Manager) Get(id string) (*Session, bool) {
 
 // List returns every session, ordered by ID.
 func (m *Manager) List() []*Session {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		out = append(out, s)
-	}
+	out := m.sessionList()
 	// IDs are zero-padded sequence numbers, so lexical order is creation
 	// order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].ID > out[j].ID; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b *Session) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

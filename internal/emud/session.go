@@ -34,6 +34,9 @@ var (
 	// shutdown (BeginDrain): the process is alive but handing its work
 	// away. Mapped to HTTP 503 — distinct from the 429 overload path.
 	ErrDraining = errors.New("emud: farm draining")
+	// ErrNoSession marks a request for a session ID the farm does not
+	// hold. Mapped to HTTP 404.
+	ErrNoSession = errors.New("emud: no such session")
 )
 
 // State is a session's lifecycle position.

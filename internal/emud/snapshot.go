@@ -96,60 +96,84 @@ func tupleFromJSON(t TupleJSON) core.Tuple {
 	}
 }
 
-// Snapshot captures the farm's current durable state. Stopped sessions
-// are omitted — they have nothing to recover.
-func (m *Manager) Snapshot() *FarmSnapshot {
-	m.mu.Lock()
-	seq := m.seq
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
+// snapshot is the session's durable state: everything Restore needs to
+// rebuild it under the same ID at the same replay and lottery position.
+// It is the one place a SessionSnapshot is assembled.
+func (s *Session) snapshot() SessionSnapshot {
+	cfg := s.cfg
+	listen, target := s.RelaySpecArgs()
+	ss := SessionSnapshot{
+		ID:             s.ID,
+		Name:           cfg.Name,
+		TraceRef:       cfg.TraceRef,
+		Loop:           cfg.Loop,
+		TickUS:         cfg.Tick.Microseconds(),
+		Seed:           cfg.Seed,
+		InboundExtraNS: float64(cfg.InboundExtra),
+		CompensationNS: float64(cfg.Compensation),
+		Running:        s.State() == StateRunning,
+		Cursor:         s.Cursor(),
+		Draws:          s.LotteryDraws(),
+		RelayListen:    listen,
+		RelayTarget:    target,
 	}
-	m.mu.Unlock()
-	return snapshotOf(sessions, seq)
+	if name, ok := strings.CutPrefix(cfg.TraceRef, "stream:"); ok && cfg.Live != nil {
+		// A live session's trace is not embedded: the stream's WAL is the
+		// durable copy, and restore rebinds through the recovered stream.
+		// A parked trace session is live too, on an empty sealed trace,
+		// but keeps its own ref so it parks with the same error again.
+		ss.Stream = name
+	}
+	return ss
 }
 
-func snapshotOf(sessions []*Session, seq int64) *FarmSnapshot {
-	snap := &FarmSnapshot{
+func newFarmSnapshot(seq int64) *FarmSnapshot {
+	return &FarmSnapshot{
 		TakenUnixNano: time.Now().UnixNano(),
 		Seq:           seq,
 		Traces:        map[string][]TupleJSON{},
 	}
+}
+
+// add appends one session's state, embedding the session's trace the
+// first time its ref appears (a live session's trace is never embedded).
+func (f *FarmSnapshot) add(s *Session, ss SessionSnapshot) {
+	f.Sessions = append(f.Sessions, ss)
+	if _, ok := f.Traces[ss.TraceRef]; ok || s.cfg.Live != nil {
+		return
+	}
+	tuples := make([]TupleJSON, len(s.cfg.Trace))
+	for i, t := range s.cfg.Trace {
+		tuples[i] = tupleToJSON(t)
+	}
+	f.Traces[ss.TraceRef] = tuples
+}
+
+// sessionList returns every session in the farm, in no order.
+func (m *Manager) sessionList() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		out = append(out, s)
+	}
+	return out
+}
+
+// Snapshot captures the farm's current durable state. Stopped sessions
+// are omitted — they have nothing to recover.
+func (m *Manager) Snapshot() *FarmSnapshot { return m.snapshotOf(m.sessionList()) }
+
+// snapshotOf reads the ID counter after the caller listed the sessions,
+// so it covers every listed ID.
+func (m *Manager) snapshotOf(sessions []*Session) *FarmSnapshot {
+	m.mu.Lock()
+	snap := newFarmSnapshot(m.seq)
+	m.mu.Unlock()
 	for _, s := range sessions {
-		st := s.State()
-		if st == StateStopped || st == StateDraining {
-			continue
+		if st := s.State(); st != StateStopped && st != StateDraining {
+			snap.add(s, s.snapshot())
 		}
-		cfg := s.Config()
-		listen, target := s.RelaySpecArgs()
-		ss := SessionSnapshot{
-			ID:             s.ID,
-			Name:           cfg.Name,
-			TraceRef:       cfg.TraceRef,
-			Loop:           cfg.Loop,
-			TickUS:         cfg.Tick.Microseconds(),
-			Seed:           cfg.Seed,
-			InboundExtraNS: float64(cfg.InboundExtra),
-			CompensationNS: float64(cfg.Compensation),
-			Running:        st == StateRunning,
-			Cursor:         s.Cursor(),
-			Draws:          s.LotteryDraws(),
-			RelayListen:    listen,
-			RelayTarget:    target,
-		}
-		if cfg.Live != nil {
-			// A live session's trace is not embedded: the stream's WAL is
-			// the durable copy, and restore rebinds through the recovered
-			// stream. The ref is "stream:<name>" by construction.
-			ss.Stream = strings.TrimPrefix(cfg.TraceRef, "stream:")
-		} else if _, ok := snap.Traces[cfg.TraceRef]; !ok {
-			tuples := make([]TupleJSON, len(cfg.Trace))
-			for i, t := range cfg.Trace {
-				tuples[i] = tupleToJSON(t)
-			}
-			snap.Traces[cfg.TraceRef] = tuples
-		}
-		snap.Sessions = append(snap.Sessions, ss)
 	}
 	return snap
 }
@@ -158,15 +182,7 @@ func snapshotOf(sessions []*Session, seq int64) *FarmSnapshot {
 // atomically (tmp file + rename), so a crash mid-write leaves the
 // previous snapshot intact. Concurrent writers are serialised: each
 // publishes a whole snapshot.
-func (m *Manager) WriteSnapshot() error {
-	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
-	return m.writeSnapshotOf(sessions)
-}
+func (m *Manager) WriteSnapshot() error { return m.writeSnapshotOf(m.sessionList()) }
 
 // writeSnapshotOf serializes the given sessions (Close passes the list
 // it already pulled out of the map before clearing it). It holds snapMu
@@ -179,10 +195,7 @@ func (m *Manager) writeSnapshotOf(sessions []*Session) error {
 	}
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
-	m.mu.Lock()
-	seq := m.seq
-	m.mu.Unlock()
-	snap := snapshotOf(sessions, seq)
+	snap := m.snapshotOf(sessions)
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		return fmt.Errorf("emud: marshaling snapshot: %w", err)
@@ -273,9 +286,11 @@ func LoadSnapshot(path string) (*FarmSnapshot, error) {
 // Restore rebuilds every snapshotted session in this (fresh) farm under
 // its original ID: running sessions are restarted with their replay
 // cursor fast-forwarded to the snapshot position, and relays re-attach
-// best-effort. It returns the number of sessions restored; per-session
-// failures (a trace that no longer validates, a taken relay port) skip
-// that session rather than aborting the rest.
+// best-effort. Sessions register through the same step as Create, minus
+// its draining and brownout gates. It returns the number of sessions
+// restored: a session whose stream or trace did not survive is parked
+// and counted, one the farm refuses (a duplicate ID, the session limit)
+// is skipped, and neither aborts the rest.
 func (m *Manager) Restore(snap *FarmSnapshot) (int, error) {
 	if snap == nil {
 		return 0, fmt.Errorf("emud: nil snapshot")
@@ -302,62 +317,46 @@ func (m *Manager) Restore(snap *FarmSnapshot) (int, error) {
 			SkipTuples:   ss.Cursor,
 			SkipDraws:    ss.Draws,
 		}
-		var restoreErr error
-		start := ss.Running
+		// lost is what the move could not bring back: a stream that did
+		// not survive (WAL off, deleted, unreadable), or an embedded trace
+		// that is missing or fails validation.
+		var lost error
 		if ss.Stream != "" {
-			// A live session rebinds to its recovered stream. When the
-			// stream did not survive (WAL off, deleted, unreadable), the
-			// session is still restored — stopped, bound to an empty sealed
-			// trace, with the typed loss in its status — so the operator
-			// sees exactly which tenants lost their feed.
 			if lt, ok := m.store.LookupLive(ss.Stream); ok {
 				cfg.Live = lt
 			} else {
-				gone := NewLiveTrace()
-				gone.Complete(ErrStreamGone)
-				cfg.Live = gone
-				restoreErr = fmt.Errorf("%w: %q", ErrStreamGone, ss.Stream)
-				start = false
-				if firstErr == nil {
-					firstErr = fmt.Errorf("emud: session %s: %w", ss.ID, restoreErr)
-				}
+				lost = fmt.Errorf("%w: %q", ErrStreamGone, ss.Stream)
 			}
+		} else if trace, ok := traces[ss.TraceRef]; !ok {
+			lost = fmt.Errorf("%w: trace %q missing from snapshot", ErrTraceUnrecoverable, ss.TraceRef)
+		} else if err := trace.Validate(); err != nil {
+			lost = fmt.Errorf("%w: trace %q: %v", ErrTraceUnrecoverable, ss.TraceRef, err)
 		} else {
-			// A trace session parks — stopped, with the typed loss in its
-			// status — when its embedded trace is missing or invalid, the
-			// same shape as a live session whose stream vanished. Recovery
-			// never fails wholesale over one damaged tenant.
-			var badTrace error
-			trace, ok := traces[ss.TraceRef]
-			if !ok {
-				badTrace = fmt.Errorf("%w: trace %q missing from snapshot", ErrTraceUnrecoverable, ss.TraceRef)
-			} else if err := trace.Validate(); err != nil {
-				badTrace = fmt.Errorf("%w: trace %q: %v", ErrTraceUnrecoverable, ss.TraceRef, err)
+			if !ss.Loop && cfg.SkipTuples > int64(len(trace)) {
+				cfg.SkipTuples = int64(len(trace))
 			}
-			if badTrace != nil {
-				gone := NewLiveTrace()
-				gone.Complete(badTrace)
-				cfg.Live = gone
-				restoreErr = badTrace
-				start = false
-				if firstErr == nil {
-					firstErr = fmt.Errorf("emud: session %s: %w", ss.ID, badTrace)
-				}
-			} else {
-				if !ss.Loop && cfg.SkipTuples > int64(len(trace)) {
-					cfg.SkipTuples = int64(len(trace))
-				}
-				cfg.Trace = trace
+			cfg.Trace = trace
+		}
+		if lost != nil {
+			// Park the session: it is still restored — stopped, bound to an
+			// empty sealed trace, with the typed loss in its status — so
+			// the operator sees exactly which tenants lost their trace, and
+			// recovery never fails wholesale over one damaged tenant.
+			gone := NewLiveTrace()
+			gone.Complete(lost)
+			cfg.Live = gone
+			if firstErr == nil {
+				firstErr = fmt.Errorf("emud: session %s: %w", ss.ID, lost)
 			}
 		}
-		s, err := m.createRestored(ss.ID, cfg, restoreErr)
+		s, err := m.register(ss.ID, cfg, lost)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if start {
+		if ss.Running && lost == nil {
 			if err := s.Start(); err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -380,44 +379,6 @@ func (m *Manager) Restore(snap *FarmSnapshot) (int, error) {
 	return restored, firstErr
 }
 
-// createRestored is Create with a caller-supplied ID (recovery preserves
-// the crashed daemon's session IDs so clients' handles stay valid).
-// restoreErr, when non-nil, is surfaced in the session's status — the
-// session exists but something it depended on did not survive the crash.
-func (m *Manager) createRestored(id string, cfg SessionConfig, restoreErr error) (*Session, error) {
-	if cfg.Live == nil {
-		if err := cfg.Trace.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, fmt.Errorf("emud: manager closed")
-	}
-	if _, exists := m.sessions[id]; exists {
-		return nil, fmt.Errorf("emud: session %s already exists", id)
-	}
-	if len(m.sessions) >= m.opts.MaxSessions {
-		return nil, fmt.Errorf("emud: session limit reached (%d)", m.opts.MaxSessions)
-	}
-	s := &Session{
-		ID:         id,
-		cfg:        cfg,
-		created:    m.wheel.Now(),
-		expLoss:    cfg.Trace.WeightedLoss(),
-		restoreErr: restoreErr,
-		m:          m,
-	}
-	s.state.Store(int32(StateCreated))
-	s.lastActive.Store(int64(s.created))
-	m.sessions[s.ID] = s
-	m.ins.incCreated()
-	m.ins.setActive(len(m.sessions))
-	m.ins.sessionState(s)
-	return s, nil
-}
-
 // Handoff quiesces one session and extracts it as a single-session
 // snapshot for live migration: the session drains (new packets refused,
 // in-flight deliveries complete, engine stopped), its replay cursor and
@@ -434,46 +395,23 @@ func (m *Manager) createRestored(id string, cfg SessionConfig, restoreErr error)
 func (m *Manager) Handoff(id string, drainTimeout time.Duration) (*FarmSnapshot, error) {
 	s, ok := m.Get(id)
 	if !ok {
-		return nil, fmt.Errorf("emud: session %s not found", id)
+		return nil, fmt.Errorf("%w: %s", ErrNoSession, id)
 	}
-	cfg := s.Config()
-	if cfg.Live != nil {
+	if s.cfg.Live != nil {
 		return nil, fmt.Errorf("emud: session %s: %w: live sessions cannot hand off", id, ErrStreamGone)
 	}
 	if drainTimeout <= 0 {
 		drainTimeout = m.opts.DrainTimeout
 	}
-	// Capture the relay spec before the drain: Stop detaches the relay.
-	listen, target := s.RelaySpecArgs()
-	wasRunning := s.State() == StateRunning
+	// Read the state before the drain, which detaches the relay and ends
+	// the running state; the positions are read after it, frozen.
+	ss := s.snapshot()
 	s.Drain(drainTimeout)
-
-	tuples := make([]TupleJSON, len(cfg.Trace))
-	for i, t := range cfg.Trace {
-		tuples[i] = tupleToJSON(t)
-	}
-	snap := &FarmSnapshot{
-		TakenUnixNano: time.Now().UnixNano(),
-		Traces:        map[string][]TupleJSON{cfg.TraceRef: tuples},
-		Sessions: []SessionSnapshot{{
-			ID:             s.ID,
-			Name:           cfg.Name,
-			TraceRef:       cfg.TraceRef,
-			Loop:           cfg.Loop,
-			TickUS:         cfg.Tick.Microseconds(),
-			Seed:           cfg.Seed,
-			InboundExtraNS: float64(cfg.InboundExtra),
-			CompensationNS: float64(cfg.Compensation),
-			Running:        wasRunning,
-			Cursor:         s.Cursor(),
-			Draws:          s.LotteryDraws(),
-			RelayListen:    listen,
-			RelayTarget:    target,
-		}},
-	}
+	ss.Cursor, ss.Draws = s.Cursor(), s.LotteryDraws()
+	snap := newFarmSnapshot(0)
+	snap.add(s, ss)
 	m.Delete(id)
-	m.log.Info("session handed off", "session", id,
-		"cursor", snap.Sessions[0].Cursor, "draws", snap.Sessions[0].Draws)
+	m.log.Info("session handed off", "session", id, "cursor", ss.Cursor, "draws", ss.Draws)
 	return snap, nil
 }
 

@@ -60,6 +60,10 @@ const (
 // operator sees exactly what was lost.
 var ErrStreamGone = errors.New("emud: stream gone")
 
+// ErrStreamExists marks a stream create whose name is already taken.
+// Mapped to HTTP 409.
+var ErrStreamExists = errors.New("emud: stream already exists")
+
 // BrownoutError is the typed refusal the brownout controller issues for
 // new work while the farm sheds load. The control plane maps it to
 // HTTP 429 with a Retry-After header.
@@ -754,7 +758,7 @@ func (ss *Streams) register(st *Stream) error {
 	ss.mu.Lock()
 	if _, dup := ss.streams[st.Name]; dup {
 		ss.mu.Unlock()
-		return fmt.Errorf("emud: stream %q already exists", st.Name)
+		return fmt.Errorf("%w: %q", ErrStreamExists, st.Name)
 	}
 	ss.streams[st.Name] = st
 	ss.mu.Unlock()
