@@ -8,6 +8,14 @@
 // methods read fields in place, paired with a registry of LayerTypes and a
 // Decode walk that classifies a raw frame. Serialization goes through
 // explicit Put/Marshal helpers so byte layouts live in exactly one place.
+//
+// Checksum offload. The Put*Header helpers for UDP and TCP leave the
+// transport checksum 0, as a NIC driver leaves a CHECKSUM_PARTIAL segment
+// for the hardware: a simulated medium alters no byte, so the sum would
+// never be read. Marshal* fill it in, through the one summing step that
+// ChecksumOK also verifies with. IPv4 header and ICMP sums are always
+// filled: PutIPv4Header sums the header from its field values, and
+// IPv4.DecTTL patches the header sum rather than recomputing it.
 package packet
 
 import (
@@ -138,17 +146,14 @@ func Checksum(data []byte, initial uint32) uint16 {
 	return ^uint16(sum)
 }
 
-// pseudoHeaderSum computes the partial sum of the IPv4 pseudo-header used
-// by UDP and TCP checksums.
-func pseudoHeaderSum(src, dst IPAddr, proto uint8, length int) uint32 {
-	var sum uint32
-	sum += uint32(src >> 16)
-	sum += uint32(src & 0xffff)
-	sum += uint32(dst >> 16)
-	sum += uint32(dst & 0xffff)
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
+// l4Checksum sums the UDP or TCP segment seg together with its IPv4
+// pseudo-header for src/dst. With seg's checksum field 0 it returns the
+// checksum to store; over a segment carrying its checksum it returns 0
+// when the checksum is right.
+func l4Checksum(seg []byte, proto uint8, src, dst IPAddr) uint16 {
+	pseudo := uint32(src>>16) + uint32(src&0xffff) + uint32(dst>>16) + uint32(dst&0xffff) +
+		uint32(proto) + uint32(len(seg))
+	return Checksum(seg, pseudo)
 }
 
 // IPv4 is a zero-copy view over an IPv4 header and payload.
@@ -208,6 +213,19 @@ func (p IPv4) Payload() []byte {
 // SetTTL writes the time-to-live without fixing the checksum.
 func (p IPv4) SetTTL(ttl uint8) { p[8] = ttl }
 
+// DecTTL decrements the time-to-live and patches the header checksum
+// incrementally (RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m'), m the 16-bit
+// word holding TTL and protocol). For a header whose stored sum is right,
+// the result equals SetTTL(TTL()-1) followed by SetChecksum, byte for byte.
+func (p IPv4) DecTTL() {
+	m := binary.BigEndian.Uint16(p[8:10])
+	p[8]--
+	sum := uint32(^p.HeaderChecksum()) + uint32(^m) + uint32(binary.BigEndian.Uint16(p[8:10]))
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
+	binary.BigEndian.PutUint16(p[10:12], ^uint16(sum))
+}
+
 // SetChecksum recomputes and stores the header checksum.
 func (p IPv4) SetChecksum() {
 	h := int(p.IHL()) * 4
@@ -234,11 +252,16 @@ type IPv4Fields struct {
 // for the datagram b: total length len(b), checksum set. The payload must
 // already sit at b[IPv4HeaderLen:]. This is how a datagram built behind
 // reserved header room gets its header without being copied.
+//
+// The checksum is summed from the field values, not read back from the
+// bytes just written (a load over fresh narrower stores stalls until they
+// land), and equals what SetChecksum would store.
 func PutIPv4Header(b []byte, f IPv4Fields) IPv4 {
 	if len(b) < IPv4HeaderLen {
 		panic("packet: PutIPv4Header buffer shorter than a header")
 	}
-	b[0] = 4<<4 | 5
+	const versionIHL = 4<<4 | 5
+	b[0] = versionIHL
 	b[1] = f.TOS
 	binary.BigEndian.PutUint16(b[2:4], uint16(len(b)))
 	binary.BigEndian.PutUint16(b[4:6], f.ID)
@@ -247,7 +270,12 @@ func PutIPv4Header(b []byte, f IPv4Fields) IPv4 {
 	b[9] = f.Protocol
 	binary.BigEndian.PutUint32(b[12:16], uint32(f.Src))
 	binary.BigEndian.PutUint32(b[16:20], uint32(f.Dst))
-	IPv4(b).SetChecksum()
+	sum := uint32(versionIHL)<<8 + uint32(f.TOS) + uint32(uint16(len(b))) + uint32(f.ID) +
+		uint32(f.TTL)<<8 + uint32(f.Protocol) +
+		uint32(f.Src>>16) + uint32(f.Src&0xffff) + uint32(f.Dst>>16) + uint32(f.Dst&0xffff)
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
+	binary.BigEndian.PutUint16(b[10:12], ^uint16(sum))
 	return IPv4(b)
 }
 
@@ -377,7 +405,7 @@ func (u UDP) ChecksumOK(src, dst IPAddr) bool {
 	if binary.BigEndian.Uint16(u[6:8]) == 0 {
 		return true
 	}
-	return Checksum(u[:u.Length()], pseudoHeaderSum(src, dst, ProtoUDP, int(u.Length()))) == 0
+	return l4Checksum(u[:u.Length()], ProtoUDP, src, dst) == 0
 }
 
 // MarshalUDP serializes a UDP datagram with checksum computed over the
@@ -385,24 +413,23 @@ func (u UDP) ChecksumOK(src, dst IPAddr) bool {
 func MarshalUDP(srcPort, dstPort uint16, src, dst IPAddr, payload []byte) UDP {
 	u := UDP(make([]byte, UDPHeaderLen+len(payload)))
 	copy(u[UDPHeaderLen:], payload)
-	PutUDPHeader(u, srcPort, dstPort, src, dst)
+	PutUDPHeader(u, srcPort, dstPort)
+	ck := l4Checksum(u, ProtoUDP, src, dst)
+	if ck == 0 {
+		ck = 0xffff // a computed zero is sent as all ones (RFC 768)
+	}
+	binary.BigEndian.PutUint16(u[6:8], ck)
 	return u
 }
 
 // PutUDPHeader fills the header of the datagram u — length len(u),
-// checksum over the pseudo-header for src/dst — around a payload already
-// in place at u[UDPHeaderLen:].
-func PutUDPHeader(u UDP, srcPort, dstPort uint16, src, dst IPAddr) {
-	n := len(u)
+// checksum 0, which RFC 768 defines as "no checksum" — around a payload
+// already in place at u[UDPHeaderLen:].
+func PutUDPHeader(u UDP, srcPort, dstPort uint16) {
 	binary.BigEndian.PutUint16(u[0:2], srcPort)
 	binary.BigEndian.PutUint16(u[2:4], dstPort)
-	binary.BigEndian.PutUint16(u[4:6], uint16(n))
+	binary.BigEndian.PutUint16(u[4:6], uint16(len(u)))
 	binary.BigEndian.PutUint16(u[6:8], 0)
-	ck := Checksum(u, pseudoHeaderSum(src, dst, ProtoUDP, n))
-	if ck == 0 {
-		ck = 0xffff
-	}
-	binary.BigEndian.PutUint16(u[6:8], ck)
 }
 
 // TCP flag bits.
@@ -451,7 +478,7 @@ func (t TCP) Payload() []byte { return t[int(t[12]>>4)*4:] }
 
 // ChecksumOK verifies the segment checksum against the pseudo-header.
 func (t TCP) ChecksumOK(src, dst IPAddr) bool {
-	return Checksum(t, pseudoHeaderSum(src, dst, ProtoTCP, len(t))) == 0
+	return l4Checksum(t, ProtoTCP, src, dst) == 0
 }
 
 // TCPFields describes a TCP segment to serialize.
@@ -467,14 +494,15 @@ type TCPFields struct {
 func MarshalTCP(f TCPFields, src, dst IPAddr, payload []byte) TCP {
 	t := TCP(make([]byte, TCPHeaderLen+len(payload)))
 	copy(t[TCPHeaderLen:], payload)
-	PutTCPHeader(t, f, src, dst)
+	PutTCPHeader(t, f)
+	binary.BigEndian.PutUint16(t[16:18], l4Checksum(t, ProtoTCP, src, dst))
 	return t
 }
 
-// PutTCPHeader fills the header of the segment t (no options) and its
-// checksum over the pseudo-header for src/dst, around a payload already in
-// place at t[TCPHeaderLen:].
-func PutTCPHeader(t TCP, f TCPFields, src, dst IPAddr) {
+// PutTCPHeader fills the header of the segment t (no options) around a
+// payload already in place at t[TCPHeaderLen:]. The checksum field is
+// left 0, like a CHECKSUM_PARTIAL segment whose sum nothing completes.
+func PutTCPHeader(t TCP, f TCPFields) {
 	binary.BigEndian.PutUint16(t[0:2], f.SrcPort)
 	binary.BigEndian.PutUint16(t[2:4], f.DstPort)
 	binary.BigEndian.PutUint32(t[4:8], f.Seq)
@@ -484,7 +512,6 @@ func PutTCPHeader(t TCP, f TCPFields, src, dst IPAddr) {
 	binary.BigEndian.PutUint16(t[14:16], f.Window)
 	binary.BigEndian.PutUint16(t[16:18], 0)
 	binary.BigEndian.PutUint16(t[18:20], 0) // urgent pointer
-	binary.BigEndian.PutUint16(t[16:18], Checksum(t, pseudoHeaderSum(src, dst, ProtoTCP, len(t))))
 }
 
 // Info is the classification produced by Decode: which layers are present

@@ -6,10 +6,22 @@
 // protocol stack").
 //
 // Datagrams are real serialized IPv4 bytes, so every layer above sees
-// authentic sizes, headers, and checksums. The link layer is modelled
-// rather than serialized: a frame on a Medium is the datagram plus its
-// source NIC and destination hardware address, and transmission time and
-// byte counts still charge the 14-byte Ethernet header.
+// authentic sizes and headers. The link layer is modelled rather than
+// serialized: a frame on a Medium is the datagram plus its source NIC and
+// destination hardware address, and transmission time and byte counts
+// still charge the 14-byte Ethernet header.
+//
+// Checksum offload. A Medium never alters a byte, so a datagram it
+// delivers reaches its node marked as checked, as Linux marks loopback
+// traffic CHECKSUM_UNNECESSARY, and its sums are never verified. A
+// datagram handed to a node's input any other way is verified there, in
+// one place: IPv4 header sum, then the UDP sum when nonzero, then the TCP
+// sum (Node.Stats().BadSum counts failures). Transports therefore send
+// UDP and TCP without payload sums (packet.PutUDPHeader, PutTCPHeader),
+// and routers patch the header sum after decrementing TTL
+// (packet.IPv4.DecTTL). A future medium that models corruption must fill
+// in the sums before it alters a datagram and deliver it unmarked, as a
+// NIC completes a partial sum on egress.
 //
 // Buffer ownership. Every datagram is allocated once, by whoever creates
 // it (a transport, the pinger, the ICMP echo responder), from the
@@ -342,13 +354,14 @@ func (m *Medium) resolve(ip packet.IPAddr) (packet.HWAddr, bool) {
 	return packet.HWAddr{}, false
 }
 
-// receive takes a datagram off the medium. shared marks a broadcast
-// frame, which the other receivers see too.
+// receive takes a datagram off the medium, which altered no byte of it,
+// so it reaches the node marked checked. shared marks a broadcast frame,
+// which the other receivers see too.
 func (n *NIC) receive(ip []byte, shared bool) {
 	if n.tap != nil {
 		n.tap(Inbound, n.node.s.Now(), ip, n.medium.Sample())
 	}
-	n.node.input(ip, shared)
+	n.node.input(ip, shared, true)
 }
 
 // Handler processes a received IP datagram addressed to this node.
@@ -474,8 +487,7 @@ func (n *Node) Addr() packet.IPAddr {
 func (n *Node) NIC(i int) *NIC { return n.nics[i] }
 
 // SrcFor returns the source address the node would use to reach dst (the
-// IP of the route's outgoing NIC), for transports that compute
-// pseudo-header checksums. ok is false when no route exists.
+// IP of the route's outgoing NIC). ok is false when no route exists.
 func (n *Node) SrcFor(dst packet.IPAddr) (packet.IPAddr, bool) {
 	r := n.lookupRoute(dst)
 	if r == nil {
@@ -569,11 +581,12 @@ func (n *Node) transmit(ip []byte) {
 	r.nic.send(ip, nextHop)
 }
 
-// input handles a datagram arriving from a NIC; shared marks a broadcast
-// frame other receivers also hold.
-func (n *Node) input(ip []byte, shared bool) {
+// input handles a datagram arriving at the node; shared marks a broadcast
+// frame other receivers also hold, and checked one that a Medium
+// delivered, whose sums are not verified.
+func (n *Node) input(ip []byte, shared, checked bool) {
 	v := packet.IPv4(ip)
-	if v.Valid() != nil || !v.ChecksumOK() {
+	if v.Valid() != nil || !checked && !sumsOK(v) {
 		n.stats.BadSum++
 		n.s.ReleaseBuf(ip)
 		return
@@ -587,6 +600,24 @@ func (n *Node) input(ip []byte, shared bool) {
 		return
 	}
 	n.in(ip)
+}
+
+// sumsOK verifies the IPv4 header sum of a valid datagram, then its UDP
+// sum when nonzero or its TCP sum. This is the only place a datagram's
+// sums are checked. A UDP header too short to sum passes, and its
+// transport drops it.
+func sumsOK(v packet.IPv4) bool {
+	if !v.ChecksumOK() {
+		return false
+	}
+	switch v.Protocol() {
+	case packet.ProtoUDP:
+		u := packet.UDP(v.Payload())
+		return u.Valid() != nil || u.ChecksumOK(v.Src(), v.Dst())
+	case packet.ProtoTCP:
+		return packet.TCP(v.Payload()).ChecksumOK(v.Src(), v.Dst())
+	}
+	return true
 }
 
 // dispatch hands a datagram that cleared the input hooks to its protocol,
@@ -605,9 +636,9 @@ func (n *Node) dispatch(ip []byte) {
 	}
 }
 
-// forward decrements the TTL and retransmits. A unicast datagram is the
-// router's own by the ownership rule and is rewritten in place; a shared
-// broadcast one is copied first.
+// forward decrements the TTL, patching the header sum, and retransmits. A
+// unicast datagram is the router's own by the ownership rule and is
+// rewritten in place; a shared broadcast one is copied first.
 func (n *Node) forward(ip []byte, shared bool) {
 	if packet.IPv4(ip).TTL() <= 1 {
 		n.stats.TTLDrops++
@@ -619,9 +650,7 @@ func (n *Node) forward(ip []byte, shared bool) {
 		copy(own, ip)
 		ip = own
 	}
-	w := packet.IPv4(ip)
-	w.SetTTL(w.TTL() - 1)
-	w.SetChecksum()
+	packet.IPv4(ip).DecTTL()
 	n.stats.Forwarded++
 	n.transmit(ip)
 }

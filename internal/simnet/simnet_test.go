@@ -203,7 +203,7 @@ func TestTTLExpiry(t *testing.T) {
 	_, gw, _ := routedNet(s)
 	// Inject a TTL-1 datagram directly at the router's input.
 	ip := packet.MarshalIPv4(packet.IPv4Fields{TTL: 1, Protocol: 200, Src: ipA, Dst: ipC}, []byte("x"))
-	gw.input(ip, false)
+	gw.input(ip, false, false)
 	s.Run()
 	if gw.Stats().TTLDrops != 1 {
 		t.Fatalf("ttl drops = %d", gw.Stats().TTLDrops)
@@ -232,7 +232,7 @@ func TestBadChecksumDropped(t *testing.T) {
 	// Corrupt datagram injected straight into b's input path.
 	ip := packet.MarshalIPv4(packet.IPv4Fields{TTL: 4, Protocol: 200, Src: ipA, Dst: ipB}, []byte("x"))
 	ip[8] ^= 0xff // break checksum
-	b.input(ip, false)
+	b.input(ip, false, false)
 	s.Run()
 	if got != 0 || b.Stats().BadSum != 1 {
 		t.Fatalf("got=%d badsum=%d", got, b.Stats().BadSum)

@@ -241,12 +241,6 @@ func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 
 func (c *Conn) sched() *sim.Scheduler { return c.stack.s }
 
-// localIP returns our address toward the peer.
-func (c *Conn) localIP() packet.IPAddr {
-	ip, _ := c.stack.node.SrcFor(c.key.remoteIP)
-	return ip
-}
-
 // recvWindow is the space we can advertise.
 func (c *Conn) recvWindow() int {
 	w := RecvBufSize - len(c.recvBuf)
@@ -264,7 +258,7 @@ func (c *Conn) sendSeg(flags uint8, seq, ack uint32, data []byte) {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: uint16(c.recvWindow()),
 	}
-	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, tcpDatagram(c.stack.s, f, c.localIP(), c.key.remoteIP, data))
+	c.stack.node.SendIP(packet.ProtoTCP, c.key.remoteIP, tcpDatagram(c.stack.s, f, data))
 }
 
 // minQueueArray is the smallest backing array a byte queue takes, so the
@@ -332,11 +326,11 @@ func queueAppend(q []byte, mem *[]byte, data []byte, free *queueArrays) []byte {
 // tcpDatagram takes the one buffer a segment lives in from here to its
 // receiver from s's datagram free list: IP header room (SendIP fills it),
 // then the TCP segment.
-func tcpDatagram(s *sim.Scheduler, f packet.TCPFields, src, dst packet.IPAddr, data []byte) []byte {
+func tcpDatagram(s *sim.Scheduler, f packet.TCPFields, data []byte) []byte {
 	buf := s.Buf(packet.IPv4HeaderLen + packet.TCPHeaderLen + len(data))
 	seg := packet.TCP(buf[packet.IPv4HeaderLen:])
 	copy(seg[packet.TCPHeaderLen:], data)
-	packet.PutTCPHeader(seg, f, src, dst)
+	packet.PutTCPHeader(seg, f)
 	return buf
 }
 
@@ -592,7 +586,7 @@ func (c *Conn) updateRTT(sample time.Duration) {
 // connection kept it for reassembly.
 func (t *TCPStack) input(n *simnet.Node, ip packet.IPv4) {
 	seg := packet.TCP(ip.Payload())
-	if seg.Valid() != nil || !seg.ChecksumOK(ip.Src(), ip.Dst()) {
+	if seg.Valid() != nil {
 		t.s.ReleaseBuf(ip)
 		return
 	}
@@ -616,7 +610,7 @@ func (t *TCPStack) input(n *simnet.Node, ip packet.IPv4) {
 		rst := tcpDatagram(t.s, packet.TCPFields{
 			SrcPort: seg.DstPort(), DstPort: seg.SrcPort(),
 			Seq: seg.Ack(), Ack: seg.Seq() + 1, Flags: packet.TCPRst | packet.TCPAck,
-		}, ip.Dst(), ip.Src(), nil)
+		}, nil)
 		t.node.SendIP(packet.ProtoTCP, ip.Src(), rst)
 	}
 	t.s.ReleaseBuf(ip)
